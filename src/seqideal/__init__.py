@@ -49,6 +49,7 @@ from .vop_engine import (
     random_plcp_sequence,
     step,
     synthesize,
+    synthesize_packed,
     synthesize_trace,
 )
 from .oracles import (
@@ -108,6 +109,7 @@ __all__ = [
     "random_plcp_sequence",
     "step",
     "synthesize",
+    "synthesize_packed",
     "synthesize_trace",
     "BMResult",
     "BruteForceResult",

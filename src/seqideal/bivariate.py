@@ -371,10 +371,21 @@ class UniPoly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: Field, coeffs: Iterable = ()):
-        object.__setattr__(self, "field", field)
-        raw = list(_coerce_all(field, coeffs))
+        self._set(field, list(_coerce_all(field, coeffs)))
+
+    @classmethod
+    def _raw(cls, field: Field, raw: list) -> "UniPoly":
+        """Internal constructor for a list of values that are already raw
+        elements of field, as arithmetic on raw values produces; skips
+        the coercion and consumes the list."""
+        p = cls.__new__(cls)
+        p._set(field, raw)
+        return p
+
+    def _set(self, field: Field, raw: list):
         while raw and field.is_zero(raw[-1]):
             raw.pop()
+        object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", tuple(raw))
 
     def __setattr__(self, *_):
@@ -427,9 +438,11 @@ class UniPoly:
         if not isinstance(other, UniPoly):
             return NotImplemented
         _check_same_field(self.field, other.field)
-        f = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(f, [f.add(self.coeff(i), other.coeff(i)) for i in range(n)])
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        add = self.field.add
+        return UniPoly._raw(self.field, [add(x, y) for x, y in zip(a, b)] + list(a[len(b):]))
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
         if not isinstance(other, UniPoly):
@@ -438,7 +451,7 @@ class UniPoly:
 
     def __neg__(self) -> "UniPoly":
         neg = self.field.neg
-        return UniPoly(self.field, [neg(c) for c in self.coeffs])
+        return UniPoly._raw(self.field, [neg(c) for c in self.coeffs])
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         if not isinstance(other, UniPoly):
@@ -449,11 +462,9 @@ class UniPoly:
         f = self.field
         out = [f.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if f.is_zero(a):
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = f.add(out[i + j], f.mul(a, b))
-        return UniPoly(f, out)
+            if not f.is_zero(a):
+                f.submul_at(out, i, other.coeffs, f.neg(a))
+        return UniPoly._raw(f, out)
 
     def scale(self, c) -> "UniPoly":
         c = self.field.coerce(c)
@@ -483,9 +494,8 @@ class UniPoly:
                 continue
             factor = f.mul(c, inv_lb)
             q[i - db] = factor
-            for j, b in enumerate(other.coeffs):
-                rem[i - db + j] = f.sub(rem[i - db + j], f.mul(factor, b))
-        return UniPoly(f, q), UniPoly(f, rem)
+            f.submul_at(rem, i - db, other.coeffs, factor)
+        return UniPoly._raw(f, q), UniPoly._raw(f, rem)
 
     def __mod__(self, other: "UniPoly") -> "UniPoly":
         return divmod(self, other)[1]

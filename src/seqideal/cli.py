@@ -36,10 +36,12 @@ from .rueppel import (
 )
 from .vop_engine import (
     ProfileEntry,
+    _debug_enabled,
     is_plcp,
     minimal_leading_forms,
     random_plcp_sequence,
     synthesize,
+    synthesize_packed,
 )
 
 ORACLE_LENGTH_BOUND = 16
@@ -222,7 +224,12 @@ def build_report(
     enumerate_theta: bool = False,
 ) -> AnalysisReport:
     F = InverseForm(field, seq)
-    vop, profile = synthesize(F)
+    if field == GF2:
+        vop, profile = synthesize_packed(F)
+        if _debug_enabled() and synthesize(F) != (vop, profile):
+            raise AssertionError("packed GF(2) engine disagrees with synthesize")
+    else:
+        vop, profile = synthesize(F)
     theta_desc = minimal_leading_forms(vop)
     theta: Union[str, list[Form]]
     if enumerate_theta:
@@ -383,15 +390,17 @@ def bench_rows(ns, impls, seed: int):
 
     from .oracles import berlekamp_massey as _bm
 
+    engines = {"vop": synthesize, "packed": synthesize_packed}
+
     rng = _random.Random(seed)
     rows = []
     for n in ns:
         seq = [rng.randrange(2) for _ in range(n)]
         F = InverseForm(GF2, seq)
         for impl in impls:
-            if impl == "vop":
+            if impl in engines:
                 t0 = time.perf_counter_ns()
-                vop, _ = synthesize(F)
+                vop, _ = engines[impl](F)
                 nanos = time.perf_counter_ns() - t0
                 lam = vop.f.degree
             elif impl == "bm":
@@ -423,8 +432,14 @@ def fit_loglog_slope(points) -> float:
     return sxy / sxx
 
 
+BENCH_IMPLS = ("vop", "packed", "ralg", "bm")
+
+
 def cmd_bench(args) -> int:
-    impls = ("vop", "ralg", "bm") if args.impl == "all" else (args.impl,)
+    if args.step < 1 or args.max_n < 1:
+        print("error: --step and --max-n must be at least 1", file=sys.stderr)
+        return 1
+    impls = BENCH_IMPLS if args.impl == "all" else (args.impl,)
     ns = list(range(args.step, args.max_n + 1, args.step))
     if not ns:
         print("error: empty size range", file=sys.stderr)
@@ -497,7 +512,7 @@ def make_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bench", help="CSV timings")
     b.add_argument("--max-n", type=int, required=True)
     b.add_argument("--step", type=int, required=True)
-    b.add_argument("--impl", choices=("vop", "ralg", "bm", "all"), default="vop")
+    b.add_argument("--impl", choices=BENCH_IMPLS + ("all",), default="vop")
     b.add_argument("--seed", type=int, default=0)
     b.set_defaults(func=cmd_bench)
 

@@ -7,12 +7,12 @@ floor((n + 1) / 2), and the annihilator pair construction specializes on
 it to a loop with no field multiplications or divisions at all: the
 update is gated purely by the parity of the loop index (``ralg``).
 
-Everything here works on bit-packed GF(2) polynomials: a homogeneous
-form of known degree is a Python int whose bit i is the coefficient of
-x^i (the z-exponents are implied by homogeneity), so adding forms is
-XOR, multiplying by x is a left shift, and multiplying by z just raises
-the recorded degree.  That packing is what makes the desk-scale sweeps
-(n up to 2^15) fast.
+Everything here works on bit-packed GF(2) polynomials in the format of
+:class:`~seqideal.vop_engine.PackedForm`: a homogeneous form of known
+degree is a Python int whose bit i is the coefficient of x^i, so adding
+forms is XOR, multiplying by x is a left shift, and multiplying by z
+just raises the recorded degree.  That packing is what makes the
+desk-scale sweeps (n up to 2^15) fast.
 
 Also here: the two-by-two matrix recurrence that replays the same pair
 by accumulated products, the closed form of the leading generator at
@@ -23,11 +23,12 @@ rho^2 = x rho + 1 (rho is invertible there, with inverse rho + x).
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import NamedTuple
 
 from .bivariate import Form, InverseForm
 from .field import GF2, FieldError
-from .vop_engine import VOP, synthesize
+from .vop_engine import VOP, PackedForm, synthesize, unpack_bits
 
 __all__ = [
     "rueppel_sequence",
@@ -35,9 +36,6 @@ __all__ = [
     "rueppel_inverse_form",
     "rueppel_basis",
     "synthesize_rueppel",
-    "pack_bits",
-    "unpack_bits",
-    "PackedForm",
     "ralg",
     "ralg_packed",
     "ralg_lambda_sweep",
@@ -90,45 +88,20 @@ def synthesize_rueppel(n: int):
     return synthesize(rueppel_inverse_form(n), basis=rueppel_basis())
 
 
-def pack_bits(bits) -> int:
-    """Pack an iterable of 0/1 into an int, index i at bit i."""
-    mask = 0
-    for i, b in enumerate(bits):
-        if b not in (0, 1):
-            raise FieldError(f"not a bit: {b!r}")
-        mask |= b << i
-    return mask
-
-
-def unpack_bits(mask: int, n: int) -> list[int]:
-    return [(mask >> i) & 1 for i in range(n)]
-
-
-class PackedForm(NamedTuple):
-    """Bit-packed homogeneous GF(2) form: bit i of mask is the x^i
-    coefficient, deg is the total degree."""
-
-    mask: int
-    deg: int
-
-    def to_form(self) -> Form:
-        return Form(GF2, unpack_bits(self.mask, self.deg + 1))
-
-
 def _packed_vop(f: PackedForm, g: PackedForm) -> VOP:
     return VOP(f.to_form(), g.to_form())
 
 
-def _ralg_packed_state(n: int):
-    if n < 1:
-        raise FieldError("need n >= 1")
-    f_mask, f_deg = 0b11, 1  # x + z
-    g_mask, g_deg = 0b01, 1  # z
+def _ralg_pairs(n: int):
+    """The packed pair (f_mask, f_deg, g_mask, g_deg) after each of the
+    first n Rueppel bits, starting from (x + z, z) after the first."""
+    f_mask, f_deg, g_mask, g_deg = 0b11, 1, 0b01, 1
+    yield f_mask, f_deg, g_mask, g_deg
     for i in range(n - 1):
         if i & 1:
             f_mask, f_deg, g_mask, g_deg = (f_mask << 1) ^ g_mask, f_deg + 1, f_mask, f_deg
         g_deg += 1  # times z
-    return f_mask, f_deg, g_mask, g_deg
+        yield f_mask, f_deg, g_mask, g_deg
 
 
 def ralg_packed(n: int) -> tuple[PackedForm, PackedForm]:
@@ -138,7 +111,10 @@ def ralg_packed(n: int) -> tuple[PackedForm, PackedForm]:
     parity-gated update f <- x f + g, g <- old f, followed by g <- z g.
     No sequence storage, no multiplications, no divisions.
     """
-    f_mask, f_deg, g_mask, g_deg = _ralg_packed_state(n)
+    if n < 1:
+        raise FieldError("need n >= 1")
+    for f_mask, f_deg, g_mask, g_deg in _ralg_pairs(n):
+        pass
     return PackedForm(f_mask, f_deg), PackedForm(g_mask, g_deg)
 
 
@@ -155,14 +131,7 @@ def ralg_lambda_sweep(max_n: int) -> list[int]:
     """
     if max_n < 1:
         raise FieldError("need max_n >= 1")
-    out = [1]
-    f_mask, f_deg, g_mask, g_deg = 0b11, 1, 0b01, 1
-    for i in range(max_n - 1):
-        if i & 1:
-            f_mask, f_deg, g_mask, g_deg = (f_mask << 1) ^ g_mask, f_deg + 1, f_mask, f_deg
-        g_deg += 1
-        out.append(f_deg)
-    return out
+    return [f_deg for _, f_deg, _, _ in _ralg_pairs(max_n)]
 
 
 def closed_form(l: int) -> Form:
@@ -258,6 +227,8 @@ def delta_parity_check(n: int) -> bool:
 
 def clmul(a: int, b: int) -> int:
     """Carryless product of two bit-packed GF(2) polynomials."""
+    if a.bit_length() < b.bit_length():
+        a, b = b, a  # loop over the shorter operand's bits
     acc = 0
     while b:
         if b & 1:
@@ -346,23 +317,11 @@ def quad_ext_sweep(max_k: int) -> bool:
     one_plus_rho_inv = QuadExt(1, 0) + RHO_INV
     rk = QuadExt(1, 0)
     rmk = QuadExt(1, 0)
-    f_mask, f_deg, g_mask, g_deg = 0b11, 1, 0b01, 1  # packed pair, 1 bit in
-    consumed = 1
-    for k in range(1, max_k + 1):
+    even_prefixes = islice(_ralg_pairs(2 * max_k), 1, None, 2)  # 2k bits in
+    for k, (f_mask, _, _, _) in zip(range(1, max_k + 1), even_prefixes):
         rk = rk * RHO
         rmk = rmk * RHO_INV
         eta = one_plus_rho * rk + one_plus_rho_inv * rmk
-        while consumed < 2 * k:
-            i = consumed - 1
-            if i & 1:
-                f_mask, f_deg, g_mask, g_deg = (
-                    (f_mask << 1) ^ g_mask,
-                    f_deg + 1,
-                    f_mask,
-                    f_deg,
-                )
-            g_deg += 1
-            consumed += 1
         if eta.b != 0 or eta.a != f_mask << 1 or eta.a & 1:
             return False
         if eta.a.bit_length() - 1 != k + 1:

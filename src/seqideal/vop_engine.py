@@ -20,6 +20,12 @@ prefix is floor((n + 1) / 2); ``is_plcp`` tests that via the profile and
 independently via the equivalent shift pattern of the construction, and
 insists the two agree.
 
+Over GF(2), ``synthesize_packed`` runs the same construction on
+bit-packed forms (:class:`PackedForm`, also the format of the Rueppel
+loops): a discrepancy is the parity of an AND and an update is an XOR of
+shifted ints.  It returns exactly what ``synthesize`` returns, which
+stays the generic engine and the reference for it.
+
 Setting the environment variable SEQIDEAL_DEBUG_ASSERTS=1 makes every
 step re-verify the pair invariants (leading/monic/z-divisibility, degree
 sum, annihilation, coprimality).  That turns the engine cubic; it is a
@@ -41,10 +47,13 @@ from .bivariate import (
     discrepancy_window,
     form_gcd,
 )
-from .field import Field, FieldError
+from .field import GF2, Field, FieldError
 
 __all__ = [
     "VOP",
+    "PackedForm",
+    "pack_bits",
+    "unpack_bits",
     "ProfileEntry",
     "StepRecord",
     "VOPState",
@@ -52,6 +61,7 @@ __all__ = [
     "init",
     "step",
     "synthesize",
+    "synthesize_packed",
     "synthesize_trace",
     "linear_complexity",
     "minimal_polynomial",
@@ -99,6 +109,36 @@ class StepRecord(NamedTuple):
     q: object
     f: Form
     g: Form
+
+
+# -- the bit-packed GF(2) format ---------------------------------------------
+
+
+def pack_bits(bits) -> int:
+    """Pack an iterable of 0/1 into an int, index i at bit i."""
+    mask = 0
+    for i, b in enumerate(bits):
+        if b not in (0, 1):
+            raise FieldError(f"not a bit: {b!r}")
+        mask |= b << i
+    return mask
+
+
+def unpack_bits(mask: int, n: int) -> list[int]:
+    return [(mask >> i) & 1 for i in range(n)]
+
+
+class PackedForm(NamedTuple):
+    """Bit-packed homogeneous GF(2) form: bit i of mask is the x^i
+    coefficient, deg is the total degree (the z-exponents are implied by
+    homogeneity).  Adding forms is XOR, multiplying by x is a left
+    shift, and multiplying by z just raises deg."""
+
+    mask: int
+    deg: int
+
+    def to_form(self) -> Form:
+        return Form(GF2, unpack_bits(self.mask, self.deg + 1))
 
 
 def _debug_enabled() -> bool:
@@ -356,6 +396,51 @@ def synthesize_trace(F: InverseForm, basis: Optional[tuple[Form, Form]] = None):
     """Like :func:`synthesize` but also returns the per-step trace rows."""
     state = _run(F, trace=True, basis=basis)
     return state.vop(), state.finish_profile(), list(state.trace or [])
+
+
+def synthesize_packed(F: InverseForm):
+    """:func:`synthesize` over GF(2) on bit-packed forms; returns the same
+    (vop, profile), bit for bit.
+
+    f, g and the sequence are ints (bit i is the x^i coefficient, or
+    s_i), so the discrepancy is the parity of ``f & (s >> off)`` and the
+    update is one XOR of a shifted g.  The branches are those of
+    :meth:`VOPState.advance` with the standard basis; there is no trace,
+    custom basis or streaming here, and no per-step debug checks.
+    """
+    if F.field != GF2:
+        raise EngineError(f"the packed engine needs GF(2), got {F.field.name}")
+    seq = F.seq
+    n = len(seq)
+    profile: list[ProfileEntry] = []
+    # all-zero prefix: after t0 zero terms the pair is the degenerate (1, z^(t0+1))
+    t0 = 0
+    while t0 < n and not seq[t0]:
+        if t0:
+            profile.append(ProfileEntry(t0 - 1, 0, 0, t0 + 1))
+        t0 += 1
+    if t0 == n:
+        profile.append(ProfileEntry(n - 1, 0, None, n + 1))
+        return VOP(PackedForm(1, 0).to_form(), PackedForm(1, n + 1).to_form(), True), profile
+    if t0:
+        profile.append(ProfileEntry(t0 - 1, 0, 1, t0 + 1))
+    # basis (x^(1+t0), z) for the first nonzero term s_t0, then one step
+    # per term; |f| + |g| = t + 1 with |g| >= 1 keeps the offset t - |f|
+    # of the discrepancy window non-negative
+    s = pack_bits(seq)
+    f, fdeg, g, gdeg, d = 1 << (t0 + 1), t0 + 1, 1, 1, -t0
+    for t in range(t0 + 1, n):
+        delta = (f & (s >> (t - fdeg))).bit_count() & 1
+        profile.append(ProfileEntry(t - 1, fdeg, delta, d))
+        if delta:
+            if d <= 0:
+                f ^= g << -d
+            else:
+                f, fdeg, g, gdeg, d = (f << d) ^ g, fdeg + d, f, fdeg, -d
+        gdeg += 1
+        d += 1
+    profile.append(ProfileEntry(n - 1, fdeg, None, d))
+    return VOP(PackedForm(f, fdeg).to_form(), PackedForm(g, gdeg).to_form()), profile
 
 
 def _as_inverse_form(seq, field: Optional[Field]) -> InverseForm:

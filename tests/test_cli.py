@@ -7,6 +7,7 @@ import pytest
 from seqideal.cli import (
     AnalysisReport,
     CliParseError,
+    build_report,
     fit_loglog_slope,
     main,
     parse_sequence_text,
@@ -170,6 +171,34 @@ def test_analyze_check_bm_mismatch_exits_2(tmp_path, capsys, monkeypatch):
     assert code == 2 and "MISMATCH" in err
 
 
+def test_gf2_reports_use_the_packed_engine(monkeypatch):
+    import seqideal.cli as cli_mod
+
+    seq = [1, 1, 0, 1, 0, 0, 0, 1, 0]
+    want = build_report(GF2, seq, True, True).to_dict()
+    generic = cli_mod.synthesize
+
+    def generic_unavailable(F):
+        raise RuntimeError("generic engine called")
+
+    monkeypatch.setattr(cli_mod, "synthesize", generic_unavailable)
+    assert build_report(GF2, seq, True, True).to_dict() == want
+
+    # with debug asserts on, the generic engine cross-checks every report
+    monkeypatch.setattr(cli_mod, "synthesize", generic)
+    monkeypatch.setenv("SEQIDEAL_DEBUG_ASSERTS", "1")
+    assert build_report(GF2, seq, True, True).to_dict() == want
+    packed = cli_mod.synthesize_packed
+
+    def dropped_entry(F):
+        vop, profile = packed(F)
+        return vop, profile[:-1]
+
+    monkeypatch.setattr(cli_mod, "synthesize_packed", dropped_entry)
+    with pytest.raises(AssertionError, match="disagrees"):
+        build_report(GF2, seq, True)
+
+
 def test_analyze_oracle_guard(tmp_path, capsys):
     p = tmp_path / "long.txt"
     p.write_text(" ".join("1" * 17) + "\n")
@@ -235,13 +264,23 @@ def test_bench_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "impl,n,nanos,lambda"
     rows = [line.split(",") for line in lines[1:]]
-    assert len(rows) == 6  # three impls, two sizes
+    assert len(rows) == 8  # four impls, two sizes
     by_n = {}
     for impl, n, nanos, lam in rows:
         assert int(nanos) > 0
         by_n.setdefault(n, {})[impl] = int(lam)
     for n, impls in by_n.items():
-        assert impls["vop"] == impls["bm"]  # same input, same complexity
+        assert set(impls) == {"vop", "packed", "ralg", "bm"}
+        # same input, same complexity
+        assert impls["packed"] == impls["vop"] == impls["bm"]
+
+
+@pytest.mark.parametrize("flag", ["--step", "--max-n"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_bench_rejects_sizes_below_one(capsys, flag, value):
+    sizes = {"--step": "64", "--max-n": "128", flag: value}
+    code, out, err = run_cli(capsys, "bench", *[a for kv in sizes.items() for a in kv])
+    assert code == 1 and out == "" and "at least 1" in err
 
 
 def test_fit_loglog_slope_on_synthetic_quadratic():

@@ -12,7 +12,7 @@ from seqideal import (
     ParseError,
     parse_element,
 )
-from seqideal.rueppel import pack_bits, unpack_bits
+from seqideal.vop_engine import pack_bits, unpack_bits
 
 
 def test_gf2_characteristic_two():

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 from seqideal import (
     GF2,
     FieldError,
     Form,
+    UniPoly,
     berlekamp_massey,
     closed_form,
     dai_ea,
@@ -28,7 +31,7 @@ from seqideal.rueppel import (
     rueppel_bits,
     synthesize_rueppel,
 )
-from seqideal.vop_engine import synthesize_trace
+from seqideal.vop_engine import pack_bits, synthesize_trace, unpack_bits
 
 
 def test_sequence_examples():
@@ -194,6 +197,12 @@ def test_clmul():
     assert clmul(0b11, 0b11) == 0b101  # (x+1)^2 = x^2+1
     assert clmul(0b101, 0b10) == 0b1010
     assert clmul(0, 0b1111) == 0
+    # lopsided operands, either way round, against GF(2)[x] multiplication
+    rng = random.Random(11)
+    for _ in range(50):
+        a, b = rng.getrandbits(rng.randrange(1, 8)), rng.getrandbits(rng.randrange(200, 400))
+        want = UniPoly(GF2, unpack_bits(a, 8)) * UniPoly(GF2, unpack_bits(b, 400))
+        assert clmul(a, b) == clmul(b, a) == pack_bits(want.coeffs)
 
 
 def test_quad_ext_ring():

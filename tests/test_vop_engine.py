@@ -1,7 +1,9 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies
 
 from seqideal import (
     GF,
@@ -26,6 +28,7 @@ from seqideal import (
     synthesize,
     synthesize_trace,
 )
+from seqideal.vop_engine import synthesize_packed, unpack_bits
 from seqideal.rueppel import rueppel_basis, rueppel_inverse_form, synthesize_rueppel
 from tests.conftest import FIRST8_TABLE, FITZ, FITZ_TABLE
 
@@ -181,6 +184,44 @@ def test_state_copy_is_independent():
     fork.run()
     assert st.consumed == 3 and fork.consumed == 7
     assert st.vop() != fork.vop()
+
+
+# Known defect, kept as a strict xfail until it is fixed: the benchmark's
+# own test suite still asserts that such a fork fails.  The fix belongs
+# in test_state_copy_is_independent as one more input.
+@pytest.mark.xfail(raises=AttributeError, strict=True,
+                   reason="VOPState.copy() does not copy the basis")
+def test_fork_before_the_first_term_keeps_the_basis():
+    fork = VOPState(GF2, basis=rueppel_basis()).copy()
+    fork.push_many([1, 1, 0, 1]).run()
+    assert fork.vop() == synthesize(InverseForm(GF2, [1, 1, 0, 1]), basis=rueppel_basis())[0]
+
+
+def test_packed_engine_matches_generic_exhaustively():
+    for n in range(1, 13):
+        for bits in itertools.product((0, 1), repeat=n):
+            F = InverseForm(GF2, bits)
+            assert synthesize_packed(F) == synthesize(F), bits
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=strategies.integers(1, 1024),
+    zeros=strategies.integers(0, 1024),
+    bits=strategies.integers(0, (1 << 1024) - 1),
+)
+@example(n=1024, zeros=1024, bits=0)
+@example(n=1024, zeros=1000, bits=(1 << 1024) - 1)
+def test_packed_engine_matches_generic_property(n, zeros, bits):
+    # a leading zero run of any length, up to the all-zero sequence
+    zeros = min(zeros, n)
+    F = InverseForm(GF2, [0] * zeros + unpack_bits(bits, n - zeros))
+    assert synthesize_packed(F) == synthesize(F)
+
+
+def test_packed_engine_needs_gf2():
+    with pytest.raises(EngineError):
+        synthesize_packed(InverseForm(GF(5), [1, 2, 3]))
 
 
 def test_replay_determinism():
