@@ -50,6 +50,7 @@ from .vop_engine import (
     step,
     synthesize,
     synthesize_packed,
+    synthesize_rational,
     synthesize_trace,
 )
 from .oracles import (
@@ -110,6 +111,7 @@ __all__ = [
     "step",
     "synthesize",
     "synthesize_packed",
+    "synthesize_rational",
     "synthesize_trace",
     "BMResult",
     "BruteForceResult",

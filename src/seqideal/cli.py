@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .bivariate import Form, InverseForm, UniPoly, dehomogenize
-from .field import GF2, Field, FieldError, field_from_tag
+from .field import GF2, QQ, Field, FieldError, field_from_tag
 from .oracles import berlekamp_massey, brute_force_min_poly, connection_equals
 from .rueppel import (
     closed_form,
@@ -35,6 +36,7 @@ from .rueppel import (
     rueppel_sequence,
 )
 from .vop_engine import (
+    EngineError,
     ProfileEntry,
     _debug_enabled,
     is_plcp,
@@ -42,6 +44,7 @@ from .vop_engine import (
     random_plcp_sequence,
     synthesize,
     synthesize_packed,
+    synthesize_rational,
 )
 
 ORACLE_LENGTH_BOUND = 16
@@ -224,12 +227,11 @@ def build_report(
     enumerate_theta: bool = False,
 ) -> AnalysisReport:
     F = InverseForm(field, seq)
-    if field == GF2:
-        vop, profile = synthesize_packed(F)
-        if _debug_enabled() and synthesize(F) != (vop, profile):
-            raise AssertionError("packed GF(2) engine disagrees with synthesize")
-    else:
-        vop, profile = synthesize(F)
+    # the fast engines return exactly what the generic one does
+    engine = {GF2: synthesize_packed, QQ: synthesize_rational}.get(field, synthesize)
+    vop, profile = engine(F)
+    if engine is not synthesize and _debug_enabled() and synthesize(F) != (vop, profile):
+        raise AssertionError(f"the {field.name} engine disagrees with synthesize")
     theta_desc = minimal_leading_forms(vop)
     theta: Union[str, list[Form]]
     if enumerate_theta:
@@ -279,7 +281,7 @@ def cmd_analyze(args) -> int:
         return 1
     try:
         report = build_report(field, seq, args.profile, args.enumerate_theta)
-    except FieldError as e:
+    except (FieldError, EngineError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 
@@ -349,18 +351,19 @@ VERIFY_CHECKS = ("closed-form", "delta", "matrix", "quadext", "dai")
 
 
 def cmd_rueppel(args) -> int:
-    if args.n < 1:
-        print("error: --n must be at least 1", file=sys.stderr)
+    if args.n < 1 or args.jobs < 1:
+        print("error: --n and --jobs must be at least 1", file=sys.stderr)
         return 1
     vop = ralg(args.n)
     lam = vop.f.degree
     checks = []
     if args.verify:
         names = VERIFY_CHECKS if args.verify == "all" else (args.verify,)
-        if args.jobs > 1:
+        workers = min(args.jobs, len(names), os.cpu_count() or 1)
+        if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_verify_one, names, [args.n] * len(names)))
             checks = list(zip(names, results))
         else:
@@ -506,7 +509,10 @@ def make_parser() -> argparse.ArgumentParser:
         help="run consistency checks (dai is capped at k=256)",
     )
     r.add_argument("--json", action="store_true")
-    r.add_argument("--jobs", type=int, default=1, help="parallel verify shards")
+    r.add_argument(
+        "--jobs", type=int, default=1,
+        help="parallel verify shards (at most one per check and per CPU)",
+    )
     r.set_defaults(func=cmd_rueppel)
 
     b = sub.add_parser("bench", help="CSV timings")

@@ -53,19 +53,36 @@ class ParseError(FieldError):
     """Raised when a token cannot be parsed as a field element."""
 
 
+# Miller-Rabin with the 13 prime bases 2..41 is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86, 2017)
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
-    # deterministic trial division; moduli here are desk scale
+    """Deterministic Miller-Rabin; raises FieldError at or above
+    PRIME_BOUND, where the fixed bases no longer decide primality."""
+    if p >= PRIME_BOUND:
+        raise FieldError(f"prime moduli must be below {PRIME_BOUND}, got {p}")
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for b in PRIME_BASES:
+        if p % b == 0:
+            return p == b
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for b in PRIME_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -23,8 +23,11 @@ insists the two agree.
 Over GF(2), ``synthesize_packed`` runs the same construction on
 bit-packed forms (:class:`PackedForm`, also the format of the Rueppel
 loops): a discrepancy is the parity of an AND and an update is an XOR of
-shifted ints.  It returns exactly what ``synthesize`` returns, which
-stays the generic engine and the reference for it.
+shifted ints.  Over QQ, ``synthesize_rational`` runs it fraction-free,
+on integer numerators over one denominator per form, which pays one
+reduction per step instead of one per coefficient operation.  Both
+return exactly what ``synthesize`` returns, which stays the generic
+engine and the reference for them.
 
 Setting the environment variable SEQIDEAL_DEBUG_ASSERTS=1 makes every
 step re-verify the pair invariants (leading/monic/z-divisibility, degree
@@ -35,7 +38,10 @@ debugging aid, not a production mode.
 from __future__ import annotations
 
 import os
+from fractions import Fraction
 from itertools import product as _cartesian
+from math import gcd, lcm
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .bivariate import (
@@ -47,7 +53,7 @@ from .bivariate import (
     discrepancy_window,
     form_gcd,
 )
-from .field import GF2, Field, FieldError
+from .field import GF2, QQ, Field, FieldError
 
 __all__ = [
     "VOP",
@@ -62,6 +68,7 @@ __all__ = [
     "step",
     "synthesize",
     "synthesize_packed",
+    "synthesize_rational",
     "synthesize_trace",
     "linear_complexity",
     "minimal_polynomial",
@@ -398,6 +405,32 @@ def synthesize_trace(F: InverseForm, basis: Optional[tuple[Form, Form]] = None):
     return state.vop(), state.finish_profile(), list(state.trace or [])
 
 
+def _zero_prefix(seq, profile: list) -> int:
+    """Index t0 of the first nonzero term (len(seq) when there is none).
+
+    Appends the profile entries of the all-zero prefix: after t zero
+    terms the pair is the degenerate (1, z^(t+1)), and the entry records
+    term t as the discrepancy it meets.  When every term is zero this
+    also appends the closing entry, and the result is
+    :func:`_degenerate_vop`.
+    """
+    n = len(seq)
+    t0 = 0
+    while t0 < n and not seq[t0]:
+        t0 += 1
+    for t in range(1, min(t0 + 1, n)):
+        profile.append(ProfileEntry(t - 1, 0, seq[t], t + 1))
+    if t0 == n:
+        profile.append(ProfileEntry(n - 1, 0, None, n + 1))
+    return t0
+
+
+def _degenerate_vop(field: Field, n: int) -> VOP:
+    """The all-zero convention f = 1, g = z^(n+1)."""
+    g = Form(field, [field.one] + [field.zero] * (n + 1))
+    return VOP(Form(field, [field.one]), g, degenerate=True)
+
+
 def synthesize_packed(F: InverseForm):
     """:func:`synthesize` over GF(2) on bit-packed forms; returns the same
     (vop, profile), bit for bit.
@@ -413,17 +446,9 @@ def synthesize_packed(F: InverseForm):
     seq = F.seq
     n = len(seq)
     profile: list[ProfileEntry] = []
-    # all-zero prefix: after t0 zero terms the pair is the degenerate (1, z^(t0+1))
-    t0 = 0
-    while t0 < n and not seq[t0]:
-        if t0:
-            profile.append(ProfileEntry(t0 - 1, 0, 0, t0 + 1))
-        t0 += 1
+    t0 = _zero_prefix(seq, profile)
     if t0 == n:
-        profile.append(ProfileEntry(n - 1, 0, None, n + 1))
-        return VOP(PackedForm(1, 0).to_form(), PackedForm(1, n + 1).to_form(), True), profile
-    if t0:
-        profile.append(ProfileEntry(t0 - 1, 0, 1, t0 + 1))
+        return _degenerate_vop(GF2, n), profile
     # basis (x^(1+t0), z) for the first nonzero term s_t0, then one step
     # per term; |f| + |g| = t + 1 with |g| >= 1 keeps the offset t - |f|
     # of the discrepancy window non-negative
@@ -441,6 +466,69 @@ def synthesize_packed(F: InverseForm):
         d += 1
     profile.append(ProfileEntry(n - 1, fdeg, None, d))
     return VOP(PackedForm(f, fdeg).to_form(), PackedForm(g, gdeg).to_form()), profile
+
+
+def synthesize_rational(F: InverseForm):
+    """:func:`synthesize` over QQ, fraction-free; returns the same
+    (vop, profile), with equal reduced fractions in f, g and every
+    profile delta.
+
+    f is kept as integer numerators over one positive denominator, and g
+    the same way; the sequence is scaled once to integers by the lcm L
+    of its denominators.  A discrepancy is then an integer dot product
+    over D_f * L, reduced once per step, and the update f - q x^k g
+    brings both sides to the common denominator lcm(D_f, b * D_g) for
+    q = a / b and divides out the content of the result.  f stays monic,
+    so its top numerator is its denominator: that content is the full
+    one, and the numerators stay as small as reduced fractions would
+    need.  The branches are those of :meth:`VOPState.advance` with the
+    standard basis; there is no trace, custom basis or streaming here,
+    and no per-step debug checks.
+    """
+    if F.field != QQ:
+        raise EngineError(f"the rational engine needs QQ, got {F.field.name}")
+    seq = F.seq
+    n = len(seq)
+    profile: list[ProfileEntry] = []
+    t0 = _zero_prefix(seq, profile)
+    if t0 == n:
+        return _degenerate_vop(QQ, n), profile
+    L = lcm(*(a.denominator for a in seq))
+    s = [a.numerator * (L // a.denominator) for a in seq]
+    # f = fn / fden and g = gn / gden, numerators by x-exponent; the
+    # basis is (x^(1+t0), z) with the first nonzero term as the pivot
+    fn, fden = [0] * (t0 + 1) + [1], 1
+    gn, gden, gdeg, d, dp = [1], 1, 1, -t0, seq[t0]
+    for t in range(t0 + 1, n):
+        fdeg = len(fn) - 1
+        dot = sum(map(mul, fn, s[t - fdeg : t + 1]))
+        delta = Fraction(dot, fden * L)
+        profile.append(ProfileEntry(t - 1, fdeg, delta, d))
+        if dot:
+            q = delta / dp
+            bg = q.denominator * gden
+            den = fden // gcd(fden, bg) * bg
+            sf, sg = den // fden, q.numerator * (den // bg)
+            new = [0] * max(d, 0) + [c * sf for c in fn]
+            for i, c in enumerate(gn, max(-d, 0)):
+                new[i] -= sg * c
+            if d > 0:
+                gn, gden, gdeg, dp, d = fn, fden, fdeg, delta, -d
+            content = den
+            for c in new:
+                content = gcd(content, c)
+                if content == 1:
+                    break
+            else:
+                new = [c // content for c in new]
+                den //= content
+            fn, fden = new, den
+        gdeg += 1
+        d += 1
+    profile.append(ProfileEntry(n - 1, len(fn) - 1, None, d))
+    f = Form(QQ, [Fraction(c, fden) for c in fn])
+    g = Form(QQ, [Fraction(c, gden) for c in gn] + [QQ.zero] * (gdeg + 1 - len(gn)))
+    return VOP(f, g), profile
 
 
 def _as_inverse_form(seq, field: Optional[Field]) -> InverseForm:
@@ -466,12 +554,16 @@ def minimal_polynomial(seq, field: Optional[Field] = None) -> UniPoly:
 # -- minimal leading forms -------------------------------------------------
 
 
+THETA_ENUMERATE_CAP = 1 << 16
+
+
 class Theta:
     """The monic leading annihilating forms of minimal degree.
 
     Either the single form f (when |g| > |f|) or the family
     f + psi * g over all forms psi of degree |f| - |g|.  The family can
-    be expanded over a finite field; over the rationals it is infinite.
+    be expanded over a finite field, up to THETA_ENUMERATE_CAP forms;
+    over the rationals it is infinite.
     """
 
     def __init__(self, f: Form, g: Form):
@@ -493,12 +585,18 @@ class Theta:
         return order ** (self.psi_degree + 1)
 
     def enumerate(self) -> set[Form]:
-        """Expand the family; errors over an infinite field."""
+        """Expand the family; errors over an infinite field and above
+        THETA_ENUMERATE_CAP forms."""
         if self.unique:
             return {self.f}
         field = self.f.field
         if not field.is_finite:
             raise FieldError("cannot enumerate minimal leading forms over QQ")
+        if self.count() > THETA_ENUMERATE_CAP:
+            raise EngineError(
+                f"refusing to enumerate {self.count()} minimal leading forms"
+                f" (the cap is {THETA_ENUMERATE_CAP})"
+            )
         out = set()
         universe = list(field.elements())
         for coeffs in _cartesian(universe, repeat=self.psi_degree + 1):

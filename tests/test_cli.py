@@ -15,6 +15,8 @@ from seqideal.cli import (
 from seqideal import GF, GF2, QQ
 from seqideal.oracles import BMResult
 from seqideal.bivariate import UniPoly
+from seqideal.field import PRIME_BOUND
+from seqideal.vop_engine import THETA_ENUMERATE_CAP
 from tests.conftest import FITZ
 
 FITZ_TEXT = "1 0 0 0 -1\n1 0 0 1 -2\n"
@@ -171,32 +173,46 @@ def test_analyze_check_bm_mismatch_exits_2(tmp_path, capsys, monkeypatch):
     assert code == 2 and "MISMATCH" in err
 
 
-def test_gf2_reports_use_the_packed_engine(monkeypatch):
+def _check_fast_engine(monkeypatch, field, seq, engine_name, corrupt):
     import seqideal.cli as cli_mod
 
-    seq = [1, 1, 0, 1, 0, 0, 0, 1, 0]
-    want = build_report(GF2, seq, True, True).to_dict()
+    want = build_report(field, seq, True, True).to_dict()
     generic = cli_mod.synthesize
 
     def generic_unavailable(F):
         raise RuntimeError("generic engine called")
 
     monkeypatch.setattr(cli_mod, "synthesize", generic_unavailable)
-    assert build_report(GF2, seq, True, True).to_dict() == want
+    assert build_report(field, seq, True, True).to_dict() == want
 
     # with debug asserts on, the generic engine cross-checks every report
     monkeypatch.setattr(cli_mod, "synthesize", generic)
     monkeypatch.setenv("SEQIDEAL_DEBUG_ASSERTS", "1")
-    assert build_report(GF2, seq, True, True).to_dict() == want
-    packed = cli_mod.synthesize_packed
+    assert build_report(field, seq, True, True).to_dict() == want
+    fast = getattr(cli_mod, engine_name)
 
-    def dropped_entry(F):
-        vop, profile = packed(F)
-        return vop, profile[:-1]
+    def corrupted(F):
+        vop, profile = fast(F)
+        return vop, corrupt(profile)
 
-    monkeypatch.setattr(cli_mod, "synthesize_packed", dropped_entry)
+    monkeypatch.setattr(cli_mod, engine_name, corrupted)
     with pytest.raises(AssertionError, match="disagrees"):
-        build_report(GF2, seq, True)
+        build_report(field, seq, True)
+
+
+def test_gf2_reports_use_the_packed_engine(monkeypatch):
+    _check_fast_engine(
+        monkeypatch, GF2, [1, 1, 0, 1, 0, 0, 0, 1, 0], "synthesize_packed",
+        lambda profile: profile[:-1],
+    )
+
+
+def test_q_reports_use_the_rational_engine(monkeypatch):
+    def wrong_delta(profile):
+        e = profile[3]
+        return profile[:3] + [e._replace(delta=e.delta + 1)] + profile[4:]
+
+    _check_fast_engine(monkeypatch, QQ, FITZ, "synthesize_rational", wrong_delta)
 
 
 def test_analyze_oracle_guard(tmp_path, capsys):
@@ -206,6 +222,29 @@ def test_analyze_oracle_guard(tmp_path, capsys):
         capsys, "analyze", "--field", "gf2", "--input", str(p), "--check-oracle"
     )
     assert code == 1 and "limited to length" in err
+
+
+def test_analyze_refuses_huge_theta_enumeration(tmp_path, capsys):
+    # f = x^12 and g = z leave 7^12 minimal leading forms
+    p = tmp_path / "in.txt"
+    p.write_text("0 " * 11 + "1\n")
+    code, out, err = run_cli(
+        capsys, "analyze", "--field", "gfp:7", "--input", str(p), "--enumerate-theta"
+    )
+    assert code == 1 and out == ""
+    assert f"refusing to enumerate {7**12}" in err and str(THETA_ENUMERATE_CAP) in err
+    # over QQ the family is infinite, which keeps its own message
+    code, _, err = run_cli(
+        capsys, "analyze", "--field", "q", "--input", str(p), "--enumerate-theta"
+    )
+    assert code == 1 and "cannot enumerate" in err
+
+
+def test_analyze_rejects_a_modulus_past_the_primality_bound(capsys):
+    code, out, err = run_cli(
+        capsys, "analyze", "--field", f"gfp:{2**89 - 1}", "--input", "-"
+    )
+    assert code == 1 and out == "" and str(PRIME_BOUND) in err
 
 
 def test_analyze_usage_errors(capsys):
@@ -251,6 +290,43 @@ def test_rueppel_verify_jobs(capsys):
 def test_rueppel_bad_n(capsys):
     code, _, _ = run_cli(capsys, "rueppel", "--n", "0")
     assert code == 1
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_rueppel_rejects_jobs_below_one(capsys, jobs):
+    code, out, err = run_cli(capsys, "rueppel", "--n", "8", "--verify", "all", "--jobs", jobs)
+    assert code == 1 and out == "" and "at least 1" in err
+
+
+@pytest.mark.parametrize(
+    "jobs, verify, cpus, want",
+    [("1000", "all", 4, 4), ("1000", "all", 8, 5), ("3", "all", 8, 3), ("1000", "delta", 8, None)],
+)
+def test_rueppel_jobs_are_clamped(monkeypatch, capsys, jobs, verify, cpus, want):
+    import concurrent.futures
+    import os
+
+    pools = []
+
+    class InProcessPool:
+        # records the worker count and runs the checks here: no process starts
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    code, out, _ = run_cli(capsys, "rueppel", "--n", "8", "--verify", verify, "--jobs", jobs)
+    assert code == 0 and "FAIL" not in out
+    assert pools == ([] if want is None else [want])
 
 
 # -- bench ---------------------------------------------------------------------

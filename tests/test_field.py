@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from seqideal import (
     ParseError,
     parse_element,
 )
+from seqideal.field import PRIME_BOUND, _is_prime
 from seqideal.vop_engine import pack_bits, unpack_bits
 
 
@@ -65,6 +67,33 @@ def test_prime_check():
         GF(1)
     assert GF(2) is GF2  # the two-element field is the distinguished case
     assert GF(13).p == 13
+
+
+def _by_trial_division(p: int) -> bool:
+    return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+
+
+def test_miller_rabin_agrees_with_trial_division():
+    assert [p for p in range(-3, 20000) if _is_prime(p)] == [
+        p for p in range(-3, 20000) if _by_trial_division(p)
+    ]
+    # a Carmichael number, and a strong pseudoprime to the bases 2, 3, 5, 7
+    assert not _is_prime(561)
+    assert not _is_prime(3215031751)
+
+
+def test_large_prime_moduli_are_decided_at_once():
+    t0 = time.perf_counter()
+    assert GF(2**61 - 1).p == 2**61 - 1
+    assert GF(10**24 + 7).p == 10**24 + 7
+    with pytest.raises(FieldError):
+        GF(2**61 + 1)  # divisible by 3
+    assert time.perf_counter() - t0 < 0.5
+    # PRIME_BOUND is the least strong pseudoprime to all 13 bases, so
+    # from there on the test refuses to answer
+    for p in (PRIME_BOUND, 2**89 - 1):
+        with pytest.raises(FieldError, match=str(PRIME_BOUND)):
+            GF(p)
 
 
 def test_field_identity():

@@ -28,7 +28,7 @@ from seqideal import (
     synthesize,
     synthesize_trace,
 )
-from seqideal.vop_engine import synthesize_packed, unpack_bits
+from seqideal.vop_engine import synthesize_packed, synthesize_rational, unpack_bits
 from seqideal.rueppel import rueppel_basis, rueppel_inverse_form, synthesize_rueppel
 from tests.conftest import FIRST8_TABLE, FITZ, FITZ_TABLE
 
@@ -222,6 +222,69 @@ def test_packed_engine_matches_generic_property(n, zeros, bits):
 def test_packed_engine_needs_gf2():
     with pytest.raises(EngineError):
         synthesize_packed(InverseForm(GF(5), [1, 2, 3]))
+
+
+def _seeded_rational_inputs():
+    rng = random.Random(20261018)
+    terms = (
+        lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+        lambda: Fraction(rng.randint(-99, 99)),  # integer-only
+        lambda: Fraction(rng.randint(-10**30, 10**30), rng.choice([1, 7])),
+    )
+    for n in range(1, 65):
+        term = terms[n % 3]
+        # inner zero runs, and some leading ones
+        seq = [term() if rng.random() < 0.7 else 0 for _ in range(n)]
+        lead = rng.choice([0, 0, 1, 5])
+        yield [0] * lead + seq[: n - lead] if lead < n else seq
+    for n in (1, 2, 17, 64):
+        yield [0] * n
+    yield [Fraction(10**30, 7)] * 12
+    yield [1, 0, 0, 0, 0, 0, 0, 0, 0, Fraction(-10**30, 7)]
+
+
+def test_rational_engine_matches_generic_on_seeded_inputs():
+    for seq in _seeded_rational_inputs():
+        F = InverseForm(QQ, seq)
+        got, want = synthesize_rational(F), synthesize(F)
+        assert got == want, seq
+        # equal and of the same type, so reports format the same
+        assert [type(e.delta) for e in got[1]] == [type(e.delta) for e in want[1]]
+
+
+_rationals = strategies.one_of(
+    strategies.just(Fraction(0)),
+    strategies.fractions(max_denominator=10**6),
+    strategies.integers(-10**30, 10**30).map(Fraction),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    zeros=strategies.integers(0, 8),
+    terms=strategies.lists(_rationals, min_size=1, max_size=64),
+)
+@example(zeros=8, terms=[Fraction(0)])
+def test_rational_engine_matches_generic_property(zeros, terms):
+    F = InverseForm(QQ, [0] * zeros + terms)
+    assert synthesize_rational(F) == synthesize(F)
+
+
+def test_rational_engine_reproduces_the_frozen_example():
+    # FITZ is also the README's ten-term example
+    F = InverseForm(QQ, FITZ)
+    vop, profile = synthesize_rational(F)
+    assert (vop, profile) == synthesize(F)
+    for (k, d, delta, _q, _f, _g), e in zip(FITZ_TABLE, profile):
+        assert (e.k, e.d, e.delta) == (k - 1, d, delta)
+    assert (str(vop.f), str(vop.g)) == FITZ_TABLE[-1][4:]
+    assert str(dehomogenize(vop.f)) == "x^5+x-1"
+
+
+@pytest.mark.parametrize("field", [GF2, GF(5)])
+def test_rational_engine_needs_qq(field):
+    with pytest.raises(EngineError):
+        synthesize_rational(InverseForm(field, [1, 0, 1]))
 
 
 def test_replay_determinism():
