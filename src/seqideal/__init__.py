@@ -30,7 +30,6 @@ from .bivariate import (
     dehomogenize,
     discrepancy,
     form_gcd,
-    from_sequence,
     homogenize,
     unipoly_gcd,
 )
@@ -41,13 +40,11 @@ from .vop_engine import (
     StepRecord,
     Theta,
     VOPState,
-    init,
     is_plcp,
     linear_complexity,
     minimal_leading_forms,
     minimal_polynomial,
     random_plcp_sequence,
-    step,
     synthesize,
     synthesize_packed,
     synthesize_rational,
@@ -93,7 +90,6 @@ __all__ = [
     "dehomogenize",
     "discrepancy",
     "form_gcd",
-    "from_sequence",
     "homogenize",
     "unipoly_gcd",
     "VOP",
@@ -102,13 +98,11 @@ __all__ = [
     "StepRecord",
     "Theta",
     "VOPState",
-    "init",
     "is_plcp",
     "linear_complexity",
     "minimal_leading_forms",
     "minimal_polynomial",
     "random_plcp_sequence",
-    "step",
     "synthesize",
     "synthesize_packed",
     "synthesize_rational",

@@ -31,7 +31,7 @@ surviving one more appended term.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .field import Field, FieldElement, FieldError, FieldMismatchError
 
@@ -39,7 +39,6 @@ __all__ = [
     "Form",
     "InverseForm",
     "UniPoly",
-    "from_sequence",
     "apply",
     "discrepancy",
     "homogenize",
@@ -197,14 +196,11 @@ class Form:
         _check_same_field(self.field, other.field)
         if self.is_zero or other.is_zero:
             return Form.zero(self.field)
+        # the same coefficients as univariate polynomials; their product
+        # drops the top zeros of z-divisible factors, which z restores
         f = self.field
-        out = [f.zero] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.coeffs):
-            if f.is_zero(a):
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = f.add(out[i + j], f.mul(a, b))
-        return Form(f, out)
+        p = UniPoly._raw(f, list(self.coeffs)) * UniPoly._raw(f, list(other.coeffs))
+        return homogenize(p).shift(z_exp=self.degree + other.degree - p.degree)
 
     def scale(self, c) -> "Form":
         c = self.field.coerce(c)
@@ -346,23 +342,6 @@ class InverseForm:
 
     def __repr__(self) -> str:
         return f"InverseForm({self.field.name}, {self})"
-
-
-def from_sequence(seq: Sequence, field: Optional[Field] = None) -> InverseForm:
-    """Build the inverse form of a finite sequence.
-
-    The field may be omitted when the sequence contains FieldElement
-    values, in which case it is inferred from the first one.
-    """
-    seq = list(seq)
-    if not seq:
-        raise FieldError("cannot build an inverse form from an empty sequence")
-    if field is None:
-        first = seq[0]
-        if not isinstance(first, FieldElement):
-            raise FieldError("field must be given for raw sequences")
-        field = first.field
-    return InverseForm(field, seq)
 
 
 class UniPoly:

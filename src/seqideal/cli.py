@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .bivariate import Form, InverseForm, UniPoly, dehomogenize
-from .field import GF2, QQ, Field, FieldError, field_from_tag
+from .field import GF2, Field, FieldError, field_from_tag
 from .oracles import berlekamp_massey, brute_force_min_poly, connection_equals
 from .rueppel import (
     closed_form,
@@ -38,13 +38,12 @@ from .rueppel import (
 from .vop_engine import (
     EngineError,
     ProfileEntry,
-    _debug_enabled,
+    _synthesize_fast,
     is_plcp,
     minimal_leading_forms,
     random_plcp_sequence,
     synthesize,
     synthesize_packed,
-    synthesize_rational,
 )
 
 ORACLE_LENGTH_BOUND = 16
@@ -98,17 +97,6 @@ def parse_sequence_text(text: str, field: Field) -> list:
     if not out:
         raise CliParseError(1, 1, "empty input")
     return out
-
-
-def _parse_field(spec: str) -> Field:
-    spec = spec.lower()
-    if spec == "gf2":
-        return GF2
-    if spec == "q":
-        return field_from_tag("q")
-    if spec.startswith("gfp:"):
-        return field_from_tag(spec)
-    raise ValueError(f"unknown field {spec!r} (use gf2, gfp:<p> or q)")
 
 
 # -- report ----------------------------------------------------------------
@@ -226,12 +214,7 @@ def build_report(
     with_profile: bool,
     enumerate_theta: bool = False,
 ) -> AnalysisReport:
-    F = InverseForm(field, seq)
-    # the fast engines return exactly what the generic one does
-    engine = {GF2: synthesize_packed, QQ: synthesize_rational}.get(field, synthesize)
-    vop, profile = engine(F)
-    if engine is not synthesize and _debug_enabled() and synthesize(F) != (vop, profile):
-        raise AssertionError(f"the {field.name} engine disagrees with synthesize")
+    vop, profile = _synthesize_fast(InverseForm(field, seq))
     theta_desc = minimal_leading_forms(vop)
     theta: Union[str, list[Form]]
     if enumerate_theta:
@@ -264,7 +247,7 @@ def _read_input(path: str) -> str:
 
 def cmd_analyze(args) -> int:
     try:
-        field = _parse_field(args.field)
+        field = field_from_tag(args.field.lower())
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -331,7 +314,6 @@ def _verify_one(check: str, n: int) -> bool:
     if check == "quadext":
         return True if n < 2 else quad_ext_sweep(n // 2)
     if check == "dai":
-        from .bivariate import dehomogenize as dh
         from .oracles import dai_ea
 
         x_plus_1 = UniPoly(GF2, [1, 1])
@@ -341,7 +323,7 @@ def _verify_one(check: str, n: int) -> bool:
             want_q = [x_plus_1] + [x_only] * (k - 1)
             if list(ea.quotients) != want_q:
                 return False
-            if ea.c != dh(ralg(2 * k).f):
+            if ea.c != dehomogenize(ralg(2 * k).f):
                 return False
         return True
     raise ValueError(f"unknown check {check!r}")

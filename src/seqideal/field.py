@@ -152,17 +152,11 @@ class Field:
 
     def dot(self, u, v):
         """Sum of u[i] * v[i] over equal-length raw sequences."""
-        acc = self.zero
-        for x, y in zip(u, v):
-            acc = self.add(acc, self.mul(x, y))
-        return acc
+        raise NotImplementedError
 
     def submul_at(self, dst, offset, src, q):
         """In place dst[offset + i] -= q * src[i] for all i."""
-        j = offset
-        for s in src:
-            dst[j] = self.sub(dst[j], self.mul(q, s))
-            j += 1
+        raise NotImplementedError
 
     # -- conversions -----------------------------------------------------
 
@@ -428,7 +422,7 @@ def field_from_tag(tag: str) -> Field:
         return QQ
     if tag.startswith("gfp:"):
         return GF(int(tag[4:]))
-    raise FieldError(f"unknown field tag {tag!r}")
+    raise FieldError(f"unknown field {tag!r} (use gf2, gfp:<p> or q)")
 
 
 class FieldElement:

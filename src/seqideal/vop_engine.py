@@ -27,12 +27,14 @@ shifted ints.  Over QQ, ``synthesize_rational`` runs it fraction-free,
 on integer numerators over one denominator per form, which pays one
 reduction per step instead of one per coefficient operation.  Both
 return exactly what ``synthesize`` returns, which stays the generic
-engine and the reference for them.
+engine and the reference for them; ``linear_complexity`` and
+``minimal_polynomial`` pick the engine from the field.
 
 Setting the environment variable SEQIDEAL_DEBUG_ASSERTS=1 makes every
 step re-verify the pair invariants (leading/monic/z-divisibility, degree
 sum, annihilation, coprimality).  That turns the engine cubic; it is a
-debugging aid, not a production mode.
+debugging aid, not a production mode.  It also makes every fast-engine
+result be checked against ``synthesize``.
 """
 
 from __future__ import annotations
@@ -64,8 +66,6 @@ __all__ = [
     "StepRecord",
     "VOPState",
     "EngineError",
-    "init",
-    "step",
     "synthesize",
     "synthesize_packed",
     "synthesize_rational",
@@ -154,9 +154,8 @@ def _debug_enabled() -> bool:
 
 class VOPState:
     """Mutable synthesis state. Feed terms with :meth:`push`, advance with
-    :meth:`advance` (or the module-level :func:`step`), fork with
-    :meth:`copy`.  A single state must be advanced sequentially; copies
-    are independent."""
+    :meth:`advance`, fork with :meth:`copy`.  A single state must be
+    advanced sequentially; copies are independent."""
 
     def __init__(
         self,
@@ -202,10 +201,6 @@ class VOPState:
     @property
     def d(self) -> int:
         return self._d
-
-    @property
-    def delta_prime(self):
-        return self._dp
 
     def f_form(self) -> Form:
         return Form(self.field, self._f)
@@ -362,23 +357,6 @@ class VOPState:
 # -- module-level operations ----------------------------------------------
 
 
-def init(F: InverseForm) -> VOPState:
-    """Basis state for a nonzero inverse form: scans to the first nonzero
-    term s_t (order v = -t) and starts from the pair (x^(1-v), z)."""
-    if F.is_zero:
-        raise EngineError("cannot initialize from the zero inverse form")
-    state = VOPState(F.field)
-    state.push_many(F.seq)
-    while not state._active:
-        state.advance()
-    return state
-
-
-def step(state: VOPState) -> VOPState:
-    """Advance one term; errors when nothing is pending."""
-    return state.advance()
-
-
 def _run(F: InverseForm, trace: bool, basis=None):
     state = VOPState(F.field, trace=trace, basis=basis)
     state.push_many(F.seq)
@@ -531,6 +509,19 @@ def synthesize_rational(F: InverseForm):
     return VOP(f, g), profile
 
 
+def _synthesize_fast(F: InverseForm):
+    """:func:`synthesize` on the fastest engine for F's field: GF(2) runs
+    packed, QQ fraction-free, any other field generic.  Under
+    SEQIDEAL_DEBUG_ASSERTS=1 a fast engine's result is checked against
+    :func:`synthesize`."""
+    # the fast engines return exactly what the generic one does
+    engine = {GF2: synthesize_packed, QQ: synthesize_rational}.get(F.field, synthesize)
+    vop, profile = engine(F)
+    if engine is not synthesize and _debug_enabled() and synthesize(F) != (vop, profile):
+        raise AssertionError(f"the {F.field.name} engine disagrees with synthesize")
+    return vop, profile
+
+
 def _as_inverse_form(seq, field: Optional[Field]) -> InverseForm:
     if isinstance(seq, InverseForm):
         return seq
@@ -541,13 +532,13 @@ def _as_inverse_form(seq, field: Optional[Field]) -> InverseForm:
 
 def linear_complexity(seq, field: Optional[Field] = None) -> int:
     """Linear complexity of a finite sequence (0 for the zero sequence)."""
-    vop, _ = synthesize(_as_inverse_form(seq, field))
+    vop, _ = _synthesize_fast(_as_inverse_form(seq, field))
     return 0 if vop.degenerate else vop.f.degree
 
 
 def minimal_polynomial(seq, field: Optional[Field] = None) -> UniPoly:
     """A monic minimal polynomial of the sequence (1 for the zero one)."""
-    vop, _ = synthesize(_as_inverse_form(seq, field))
+    vop, _ = _synthesize_fast(_as_inverse_form(seq, field))
     return dehomogenize(vop.f)
 
 
@@ -652,8 +643,6 @@ def random_plcp_sequence(n: int, seed: int = 0) -> list[int]:
     """
     import random as _random
 
-    from .field import GF2
-
     if n < 1:
         raise EngineError("need n >= 1")
     rng = _random.Random(seed)
@@ -664,14 +653,10 @@ def random_plcp_sequence(n: int, seed: int = 0) -> list[int]:
     for k in range(n - 1):
         target = 1 if k % 2 == 1 else rng.randrange(2)
         # the new term enters the discrepancy through f's leading
-        # coefficient, which is 1, so solve base + a = target for a
-        fc = state._f
-        e = len(fc) - 1
-        off = len(seq) - e
-        i0 = -off if off < 0 else 0
-        base = GF2.dot(fc[i0:e], seq[off + i0 : off + e])
-        a = target ^ base
-        seq.append(a)
+        # coefficient, which is 1: with a zero in its place the window
+        # gives the rest, and the term is that plus the target
+        seq.append(0)
+        a = seq[-1] = target ^ discrepancy_window(GF2, state._f, seq, len(seq))
         state.push(a)
         state.advance()
     return seq

@@ -8,6 +8,7 @@ from seqideal import (
     GF2,
     QQ,
     FieldError,
+    FieldMismatchError,
     Form,
     InverseForm,
     UniPoly,
@@ -15,8 +16,8 @@ from seqideal import (
     dehomogenize,
     discrepancy,
     form_gcd,
-    from_sequence,
     homogenize,
+    linear_complexity,
     unipoly_gcd,
 )
 from tests.conftest import FITZ
@@ -40,7 +41,7 @@ def test_from_sequence_rejects_empty():
     with pytest.raises(FieldError):
         InverseForm(QQ, [])
     with pytest.raises(FieldError):
-        from_sequence([])
+        linear_complexity([], GF2)
 
 
 def test_sequence_round_trip(any_field):
@@ -52,10 +53,12 @@ def test_sequence_round_trip(any_field):
         assert back == seq
 
 
-def test_from_sequence_infers_field():
+def test_inverse_form_takes_field_elements():
     elems = [GF(5).element(2), GF(5).element(3)]
-    F = from_sequence(elems)
+    F = InverseForm(GF(5), elems)
     assert F.field == GF(5) and F.seq == (2, 3)
+    with pytest.raises(FieldMismatchError):
+        InverseForm(GF(7), elems)
 
 
 def test_subform_table():
@@ -129,6 +132,40 @@ def test_form_shift_and_mul():
     assert str(f * f) == "x^2+z^2"  # squaring over GF(2)
     p = Form(QQ, [1, 1]) * Form(QQ, [1, 1])
     assert str(p) == "x^2+2xz+z^2"
+
+
+def _schoolbook(a, b):
+    F = a.field
+    out = [F.zero] * (a.degree + b.degree + 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] = F.add(out[i + j], F.mul(x, y))
+    return Form(F, out)
+
+
+def test_form_mul_matches_schoolbook(any_field):
+    rng = random.Random(11)
+    F = any_field
+
+    def random_form():
+        # zero runs at the top make the form z-divisible, at the bottom
+        # x-divisible; all-zero coefficients give the zero form
+        deg = rng.randrange(6)
+        coeffs = [F.random(rng) for _ in range(deg + 1)]
+        for i in rng.sample(range(deg + 1), rng.randrange(deg + 2)):
+            coeffs[i] = F.zero
+        return Form(F, coeffs)
+
+    # the shape Theta.enumerate multiplies: psi times a z-divisible g
+    g = Form(F, [F.one, F.one, F.zero, F.zero])  # x z^2 + z^3
+    psi = Form(F, [F.one, F.one])  # x + z
+    assert psi * g == _schoolbook(psi, g)
+    assert str(psi * g) == ("x^2z^2+z^4" if F == GF2 else "x^2z^2+2xz^3+z^4")
+    for _ in range(300):
+        a, b = random_form(), random_form()
+        assert a * b == _schoolbook(a, b) == b * a
+        if not (a.is_zero or b.is_zero):
+            assert (a * b).degree == a.degree + b.degree
 
 
 def test_monic():

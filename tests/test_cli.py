@@ -174,28 +174,28 @@ def test_analyze_check_bm_mismatch_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def _check_fast_engine(monkeypatch, field, seq, engine_name, corrupt):
-    import seqideal.cli as cli_mod
+    import seqideal.vop_engine as engine_mod
 
     want = build_report(field, seq, True, True).to_dict()
-    generic = cli_mod.synthesize
+    generic = engine_mod.synthesize
 
     def generic_unavailable(F):
         raise RuntimeError("generic engine called")
 
-    monkeypatch.setattr(cli_mod, "synthesize", generic_unavailable)
+    monkeypatch.setattr(engine_mod, "synthesize", generic_unavailable)
     assert build_report(field, seq, True, True).to_dict() == want
 
     # with debug asserts on, the generic engine cross-checks every report
-    monkeypatch.setattr(cli_mod, "synthesize", generic)
+    monkeypatch.setattr(engine_mod, "synthesize", generic)
     monkeypatch.setenv("SEQIDEAL_DEBUG_ASSERTS", "1")
     assert build_report(field, seq, True, True).to_dict() == want
-    fast = getattr(cli_mod, engine_name)
+    fast = getattr(engine_mod, engine_name)
 
     def corrupted(F):
         vop, profile = fast(F)
         return vop, corrupt(profile)
 
-    monkeypatch.setattr(cli_mod, engine_name, corrupted)
+    monkeypatch.setattr(engine_mod, engine_name, corrupted)
     with pytest.raises(AssertionError, match="disagrees"):
         build_report(field, seq, True)
 

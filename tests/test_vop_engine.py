@@ -18,13 +18,12 @@ from seqideal import (
     brute_force_min_poly,
     dehomogenize,
     form_gcd,
-    init,
     is_plcp,
     linear_complexity,
     minimal_leading_forms,
     minimal_polynomial,
     random_plcp_sequence,
-    step,
+    rueppel_sequence,
     synthesize,
     synthesize_trace,
 )
@@ -33,29 +32,37 @@ from seqideal.rueppel import rueppel_basis, rueppel_inverse_form, synthesize_rue
 from tests.conftest import FIRST8_TABLE, FITZ, FITZ_TABLE
 
 
+def _basis_state(F):
+    """The state right after the first nonzero term of F: the basis pair."""
+    st = VOPState(F.field).push_many(F.seq)
+    while st.vop().degenerate:
+        st.advance()
+    return st
+
+
 def test_init_examples():
-    st = init(InverseForm(GF2, [1, 0, 1]))
+    st = _basis_state(InverseForm(GF2, [1, 0, 1]))
     assert str(st.f_form()) == "x+z" or str(st.f_form()) == "x"
     # the generic basis for a leading nonzero term is (x, z) with d = 0
-    st = init(InverseForm(QQ, FITZ))
+    st = _basis_state(InverseForm(QQ, FITZ))
     assert str(st.f_form()) == "x" and str(st.g_form()) == "z" and st.d == 0
     # three leading zeros push the basis out to (x^4, z)
-    st = init(InverseForm(GF2, [0, 0, 0, 1]))
+    st = _basis_state(InverseForm(GF2, [0, 0, 0, 1]))
     assert str(st.f_form()) == "x^4" and str(st.g_form()) == "z" and st.d == -3
     with pytest.raises(EngineError):
-        init(InverseForm(GF2, [0, 0]))
+        _basis_state(InverseForm(GF2, [0, 0]))
 
 
 def test_step_requires_pending_terms():
-    st = init(InverseForm(GF2, [1]))
+    st = _basis_state(InverseForm(GF2, [1]))
     with pytest.raises(EngineError):
-        step(st)
+        st.advance()
 
 
 def test_step_zero_discrepancy_only_shifts_g():
-    st = init(InverseForm(QQ, [1, 0]))
+    st = _basis_state(InverseForm(QQ, [1, 0]))
     f_before = st.f_form()
-    step(st)
+    st.advance()
     assert st.f_form() == f_before
     assert str(st.g_form()) == "z^2"
     assert st.d == 1
@@ -109,6 +116,27 @@ def test_linear_complexity_examples():
     assert str(minimal_polynomial([1], GF2)) == "x"
     assert linear_complexity([0, 0, 0], GF2) == 0
     assert str(minimal_polynomial([0, 0, 0], GF2)) == "1"
+
+
+def test_library_helpers_use_the_fast_engines(monkeypatch):
+    import seqideal.vop_engine as engine_mod
+
+    cases = [(FITZ, QQ), (rueppel_sequence(96), GF2)]
+    want = [(linear_complexity(s, F), minimal_polynomial(s, F)) for s, F in cases]
+    assert want[0][0] == 5 and str(want[0][1]) == "x^5+x-1"
+    assert want[1][0] == (96 + 1) // 2
+
+    def generic_unavailable(F, basis=None):
+        raise RuntimeError("generic engine called")
+
+    monkeypatch.setattr(engine_mod, "synthesize", generic_unavailable)
+    got = [(linear_complexity(s, F), minimal_polynomial(s, F)) for s, F in cases]
+    assert got == want
+    # no fast engine over GF(5): the generic one is the only path there
+    with pytest.raises(RuntimeError, match="generic engine"):
+        linear_complexity([1, 2, 0, 4], GF(5))
+    with pytest.raises(RuntimeError, match="generic engine"):
+        minimal_polynomial([1, 2, 0, 4], GF(5))
 
 
 def test_profile_lambdas_are_prefix_complexities():
