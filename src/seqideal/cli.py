@@ -22,12 +22,14 @@ import re
 import sys
 import time
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional, Union
 
 from .bivariate import Form, InverseForm, UniPoly, dehomogenize
 from .field import GF2, Field, FieldError, field_from_tag
 from .oracles import berlekamp_massey, brute_force_min_poly, connection_equals
 from .rueppel import (
+    _ralg_pairs,
     closed_form,
     delta_parity_check,
     matrix_recurrence,
@@ -41,13 +43,14 @@ from .vop_engine import (
     _synthesize_fast,
     is_plcp,
     minimal_leading_forms,
+    pack_bits,
     random_plcp_sequence,
     synthesize,
     synthesize_packed,
 )
 
 ORACLE_LENGTH_BOUND = 16
-DAI_VERIFY_CAP = 256  # the division-cascade check is cubic; cap the sweep
+DAI_VERIFY_CAP = 256  # one division cascade per k; the cap keeps the dai check's cost fixed
 
 
 class CliParseError(Exception):
@@ -318,12 +321,16 @@ def _verify_one(check: str, n: int) -> bool:
 
         x_plus_1 = UniPoly(GF2, [1, 1])
         x_only = UniPoly(GF2, [0, 1])
-        for k in range(1, min(n // 2, DAI_VERIFY_CAP) + 1):
-            ea = dai_ea(k, rueppel_sequence(2 * k), GF2)
+        max_k = min(n // 2, DAI_VERIFY_CAP)
+        seq = rueppel_sequence(2 * max_k) if max_k else []
+        # the pair after 2k bits; f(x, 1) has the coefficients of f's mask
+        even_prefixes = islice(_ralg_pairs(2 * max_k), 1, None, 2)
+        for k, (f_mask, _, _, _) in zip(range(1, max_k + 1), even_prefixes):
+            ea = dai_ea(k, seq[: 2 * k], GF2)
             want_q = [x_plus_1] + [x_only] * (k - 1)
             if list(ea.quotients) != want_q:
                 return False
-            if ea.c != dehomogenize(ralg(2 * k).f):
+            if pack_bits(ea.c.coeffs) != f_mask:
                 return False
         return True
     raise ValueError(f"unknown check {check!r}")

@@ -421,7 +421,13 @@ def field_from_tag(tag: str) -> Field:
     if tag == "q":
         return QQ
     if tag.startswith("gfp:"):
-        return GF(int(tag[4:]))
+        try:
+            p = int(tag[4:])
+        except ValueError:
+            raise FieldError(
+                f"field {tag!r} needs a decimal modulus (use gf2, gfp:<p> or q)"
+            ) from None
+        return GF(p)
     raise FieldError(f"unknown field {tag!r} (use gf2, gfp:<p> or q)")
 
 

@@ -10,7 +10,7 @@ synthesis engine:
   linear recurrence system by Gaussian elimination, degree by degree;
 * the extended-Euclidean construction of minimal polynomials from
   convergent denominators (Dai's construction for the binary case,
-  written field-generically).
+  written field-generically, with its own bit-packed cascade over GF(2)).
 
 The connection-polynomial convention is the reverse of the natural
 coefficient order used everywhere else in this package, so comparisons
@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Sequence
 
 from .bivariate import UniPoly
-from .field import Field, FieldError
+from .field import GF2, Field, FieldError
 
 __all__ = [
     "BMResult",
@@ -216,13 +216,21 @@ def dai_ea(k: int, seq: Sequence, field: Field) -> EAResult:
     s_0 x^(2k-1) + ... + s_(2k-1), accumulating convergent denominators,
     and stops at the first remainder of degree below k (or zero).  The
     quotients are signed so that r_i = q_i r_(i-1) + r_(i-2) holds
-    verbatim; over GF(2) they are the plain division quotients.
+    verbatim; over GF(2) they are the plain division quotients, and the
+    cascade runs on bit-packed ints.
     """
     if k < 1:
         raise FieldError("need k >= 1")
     s = [field.coerce(a) for a in seq]
     if len(s) != 2 * k:
         raise FieldError(f"need exactly {2 * k} terms, got {len(s)}")
+    if field == GF2:
+        return _dai_ea_packed(k, s)
+    return _dai_ea_lists(k, s, field)
+
+
+def _dai_ea_lists(k: int, s: list, field: Field) -> EAResult:
+    """The cascade on UniPoly coefficient lists, for any field."""
     r_prev = UniPoly.x_power(field, 2 * k)
     r_cur = UniPoly(field, list(reversed(s)))
     c_prev = UniPoly.zero(field)
@@ -237,6 +245,40 @@ def dai_ea(k: int, seq: Sequence, field: Field) -> EAResult:
         quotients.append(q)
         degrees.append(rem.degree)
     return EAResult(c_cur, tuple(quotients), tuple(degrees))
+
+
+def _dai_ea_packed(k: int, s: list) -> EAResult:
+    """The cascade over GF(2) on ints, bit i the coefficient of x^i.
+
+    Each step of the long division XORs the divisor shifted by the
+    quotient bit's degree into the remainder, and the convergent shifted
+    by the same amount into the next convergent, so q c_cur is never
+    formed.  UniPolys are built once at the end, one per distinct
+    quotient.
+    """
+    r_prev = 1 << (2 * k)
+    r_cur = int("".join(map(str, s)), 2)  # s_0 at bit 2k - 1
+    c_prev, c_cur = 0, 1
+    quotients = []
+    degrees = []
+    while r_cur.bit_length() > k:  # nonzero with degree >= k
+        db = r_cur.bit_length()
+        quot, rem, c_next = 0, r_prev, c_prev
+        while rem.bit_length() >= db:
+            shift = rem.bit_length() - db
+            quot ^= 1 << shift
+            rem ^= r_cur << shift
+            c_next ^= c_cur << shift
+        c_prev, c_cur = c_cur, c_next
+        r_prev, r_cur = r_cur, rem
+        quotients.append(quot)
+        degrees.append(rem.bit_length() - 1)
+    polys = {q: _unpacked(q) for q in set(quotients)}  # immutable, so shared
+    return EAResult(_unpacked(c_cur), tuple(polys[q] for q in quotients), tuple(degrees))
+
+
+def _unpacked(mask: int) -> UniPoly:
+    return UniPoly._raw(GF2, [(mask >> i) & 1 for i in range(mask.bit_length())])
 
 
 def reciprocal(c: UniPoly) -> UniPoly:

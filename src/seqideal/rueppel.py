@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from .bivariate import Form, InverseForm
 from .field import GF2, FieldError
-from .vop_engine import VOP, PackedForm, synthesize, unpack_bits
+from .vop_engine import VOP, PackedForm, synthesize, synthesize_packed, unpack_bits
 
 __all__ = [
     "rueppel_sequence",
@@ -84,7 +84,8 @@ def rueppel_basis() -> tuple[Form, Form]:
 
 def synthesize_rueppel(n: int):
     """Run the generic engine on the first n Rueppel bits from the
-    distinguished basis; returns (vop, profile)."""
+    distinguished basis; returns (vop, profile).  :func:`delta_parity_check`
+    runs the bit-packed engine on the same input."""
     return synthesize(rueppel_inverse_form(n), basis=rueppel_basis())
 
 
@@ -206,12 +207,12 @@ def matrix_recurrence(n: int) -> VOP:
 
 
 def delta_parity_check(n: int) -> bool:
-    """Run the generic engine on the first n Rueppel bits (from the
+    """Run the bit-packed engine on the first n Rueppel bits (from the
     distinguished basis) and test that the discrepancy at step k is
     exactly the parity of k, with d = 1 whenever k is odd."""
     if n < 2:
         raise FieldError("need n >= 2")
-    _, profile = synthesize_rueppel(n)
+    _, profile = synthesize_packed(rueppel_inverse_form(n), basis=rueppel_basis())
     for entry in profile:
         if entry.delta is None:
             continue

@@ -152,6 +152,19 @@ def _debug_enabled() -> bool:
     return os.environ.get("SEQIDEAL_DEBUG_ASSERTS") == "1"
 
 
+def _checked_basis(basis: tuple[Form, Form], t0: int) -> tuple[Form, Form]:
+    """A caller's starting pair (f, g), once the first nonzero term is
+    known to sit at index t0; raises EngineError unless t0 is 0 and the
+    pair is valid for the one-term prefix."""
+    if t0 != 0:
+        raise EngineError("a custom basis only applies when the first term is nonzero")
+    bf, bg = basis
+    if not (bf.in_ll and bf.is_monic and bg.z_divides and bg.is_monic
+            and bf.degree >= 1 and bf.degree + bg.degree == 2):
+        raise EngineError("custom basis is not a valid pair for one term")
+    return bf, bg
+
+
 class VOPState:
     """Mutable synthesis state. Feed terms with :meth:`push`, advance with
     :meth:`advance`, fork with :meth:`copy`.  A single state must be
@@ -252,14 +265,7 @@ class VOPState:
             # supplied another valid pair for the one-term prefix
             v = -t
             if self._basis is not None:
-                if t != 0:
-                    raise EngineError(
-                        "a custom basis only applies when the first term is nonzero"
-                    )
-                bf, bg = self._basis
-                if not (bf.in_ll and bf.is_monic and bg.z_divides and bg.is_monic
-                        and bf.degree >= 1 and bf.degree + bg.degree == 2):
-                    raise EngineError("custom basis is not a valid pair for one term")
+                bf, bg = _checked_basis(self._basis, t)
                 self._f = list(bf.coeffs)
                 top = max(i for i, c in enumerate(bg.coeffs) if not field.is_zero(c))
                 self._g = list(bg.coeffs[: top + 1])
@@ -409,15 +415,17 @@ def _degenerate_vop(field: Field, n: int) -> VOP:
     return VOP(Form(field, [field.one]), g, degenerate=True)
 
 
-def synthesize_packed(F: InverseForm):
+def synthesize_packed(F: InverseForm, basis: Optional[tuple[Form, Form]] = None):
     """:func:`synthesize` over GF(2) on bit-packed forms; returns the same
-    (vop, profile), bit for bit.
+    (vop, profile), bit for bit, and raises the same EngineError for a
+    ``basis`` that does not apply.
 
     f, g and the sequence are ints (bit i is the x^i coefficient, or
     s_i), so the discrepancy is the parity of ``f & (s >> off)`` and the
     update is one XOR of a shifted g.  The branches are those of
-    :meth:`VOPState.advance` with the standard basis; there is no trace,
-    custom basis or streaming here, and no per-step debug checks.
+    :meth:`VOPState.advance`, and ``basis`` only changes the starting
+    pair; there is no trace or streaming here, and no per-step debug
+    checks.
     """
     if F.field != GF2:
         raise EngineError(f"the packed engine needs GF(2), got {F.field.name}")
@@ -427,11 +435,16 @@ def synthesize_packed(F: InverseForm):
     t0 = _zero_prefix(seq, profile)
     if t0 == n:
         return _degenerate_vop(GF2, n), profile
-    # basis (x^(1+t0), z) for the first nonzero term s_t0, then one step
-    # per term; |f| + |g| = t + 1 with |g| >= 1 keeps the offset t - |f|
-    # of the discrepancy window non-negative
+    # basis (x^(1+t0), z) for the first nonzero term s_t0, or the
+    # caller's, then one step per term; |f| + |g| = t + 1 with |g| >= 1
+    # keeps the offset t - |f| of the discrepancy window non-negative
     s = pack_bits(seq)
-    f, fdeg, g, gdeg, d = 1 << (t0 + 1), t0 + 1, 1, 1, -t0
+    if basis is None:
+        f, fdeg, g, gdeg, d = 1 << (t0 + 1), t0 + 1, 1, 1, -t0
+    else:
+        bf, bg = _checked_basis(basis, t0)
+        f, fdeg, g, gdeg = pack_bits(bf.coeffs), bf.degree, pack_bits(bg.coeffs), bg.degree
+        d = gdeg - fdeg
     for t in range(t0 + 1, n):
         delta = (f & (s >> (t - fdeg))).bit_count() & 1
         profile.append(ProfileEntry(t - 1, fdeg, delta, d))

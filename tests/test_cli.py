@@ -252,6 +252,14 @@ def test_analyze_usage_errors(capsys):
     assert code == 1
     code, _, err = run_cli(capsys, "analyze", "--field", "gf9:4", "--input", "-")
     assert code == 1
+    # a modulus that is not a decimal integer is named, with the accepted forms
+    for spec in ("gfp:x", "gfp:", "gfp:7.0"):
+        code, out, err = run_cli(capsys, "analyze", "--field", spec, "--input", "-")
+        assert code == 1 and out == ""
+        assert f"'{spec}'" in err and "gf2, gfp:<p> or q" in err, spec
+        assert "int()" not in err
+    code, _, err = run_cli(capsys, "analyze", "--field", "gfp:9", "--input", "-")
+    assert code == 1 and "GF(p) needs a prime modulus, got 9" in err
 
 
 # -- rueppel -------------------------------------------------------------------

@@ -1,7 +1,9 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies
 
 from seqideal import (
     GF,
@@ -17,8 +19,9 @@ from seqideal import (
     minimal_polynomial,
     reciprocal,
 )
-from seqideal.oracles import connection_equals
+from seqideal.oracles import _dai_ea_lists, connection_equals
 from seqideal.rueppel import ralg, rueppel_sequence
+from seqideal.vop_engine import unpack_bits
 from tests.conftest import FITZ
 
 
@@ -183,6 +186,29 @@ def test_dai_input_validation():
         dai_ea(0, [], GF2)
     with pytest.raises(FieldError):
         dai_ea(2, [1, 1], GF2)
+
+
+def test_dai_packed_cascade_matches_lists_exhaustively():
+    # GF(2) runs packed; the list cascade is the reference, with every
+    # all-zero and leading-zero sequence among the inputs
+    for k in range(1, 7):
+        for bits in itertools.product((0, 1), repeat=2 * k):
+            assert dai_ea(k, bits, GF2) == _dai_ea_lists(k, list(bits), GF2), bits
+
+
+def test_dai_packed_cascade_matches_lists_on_rueppel_prefixes():
+    for k in range(1, 65):
+        seq = rueppel_sequence(2 * k)
+        assert dai_ea(k, seq, GF2) == _dai_ea_lists(k, seq, GF2), k
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=strategies.integers(1, 64), bits=strategies.integers(0, (1 << 128) - 1))
+@example(k=64, bits=0)
+@example(k=64, bits=1)
+def test_dai_packed_cascade_matches_lists_property(k, bits):
+    seq = unpack_bits(bits, 2 * k)
+    assert dai_ea(k, seq, GF2) == _dai_ea_lists(k, seq, GF2)
 
 
 def test_dai_generalizes_to_rationals():

@@ -226,10 +226,13 @@ def test_fork_before_the_first_term_keeps_the_basis():
 
 
 def test_packed_engine_matches_generic_exhaustively():
+    basis = rueppel_basis()
     for n in range(1, 13):
         for bits in itertools.product((0, 1), repeat=n):
             F = InverseForm(GF2, bits)
             assert synthesize_packed(F) == synthesize(F), bits
+            if bits[0] or not any(bits):  # where a custom basis applies
+                assert synthesize_packed(F, basis) == synthesize(F, basis), bits
 
 
 @settings(max_examples=60, deadline=None)
@@ -245,6 +248,12 @@ def test_packed_engine_matches_generic_property(n, zeros, bits):
     zeros = min(zeros, n)
     F = InverseForm(GF2, [0] * zeros + unpack_bits(bits, n - zeros))
     assert synthesize_packed(F) == synthesize(F)
+
+
+def test_packed_engine_from_the_rueppel_basis_matches_generic():
+    for n in [*range(1, 301), 4096]:
+        F = rueppel_inverse_form(n)
+        assert synthesize_packed(F, basis=rueppel_basis()) == synthesize_rueppel(n), n
 
 
 def test_packed_engine_needs_gf2():
@@ -430,15 +439,17 @@ def test_debug_asserts_run(monkeypatch):
 
 
 def test_custom_basis_validation():
-    with pytest.raises(EngineError):
-        synthesize(
-            InverseForm(GF2, [0, 1]), basis=rueppel_basis()
-        )  # basis needs a nonzero first term
-    with pytest.raises(EngineError):
-        synthesize(
-            InverseForm(GF2, [1, 1]),
-            basis=(Form(GF2, [0, 1]), Form(GF2, [1, 0, 0])),  # degrees sum to 3
-        )
+    # both engines check the basis in one place and say the same
+    for engine in (synthesize, synthesize_packed):
+        with pytest.raises(EngineError, match="only applies when the first term is nonzero"):
+            engine(
+                InverseForm(GF2, [0, 1]), basis=rueppel_basis()
+            )  # basis needs a nonzero first term
+        with pytest.raises(EngineError, match="not a valid pair for one term"):
+            engine(
+                InverseForm(GF2, [1, 1]),
+                basis=(Form(GF2, [0, 1]), Form(GF2, [1, 0, 0])),  # degrees sum to 3
+            )
 
 
 def test_dehomogenized_f_is_a_minimal_polynomial(any_field):
