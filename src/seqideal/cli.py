@@ -270,6 +270,10 @@ def cmd_analyze(args) -> int:
     except (FieldError, EngineError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except AssertionError as e:
+        # an engine invariant or the SEQIDEAL_DEBUG_ASSERTS cross-check failed
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
     status = 0
     if args.check_bm:

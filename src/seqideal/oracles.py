@@ -5,7 +5,8 @@ synthesis engine:
 
 * the Berlekamp-Massey LFSR synthesis algorithm, in its textbook
   connection-polynomial formulation (gamma stored ascending with
-  gamma_0 = 1; note gamma may have degree below L);
+  gamma_0 = 1; note gamma may have degree below L), with its own
+  bit-packed path over GF(2);
 * a brute-force minimal polynomial finder that solves the defining
   linear recurrence system by Gaussian elimination, degree by degree;
 * the extended-Euclidean construction of minimal polynomials from
@@ -47,8 +48,16 @@ def berlekamp_massey(seq: Sequence, field: Field) -> BMResult:
     Returns the register length L (the linear complexity) and the
     connection polynomial gamma with gamma_0 = 1 satisfying
     gamma_0 s_j + ... + gamma_L s_(j-L) = 0 for L <= j <= n - 1.
+    Over GF(2) the registers are bit-packed ints.
     """
     s = [field.coerce(a) for a in seq]
+    if field == GF2:
+        return _berlekamp_massey_packed(s)
+    return _berlekamp_massey_lists(s, field)
+
+
+def _berlekamp_massey_lists(s: list, field: Field) -> BMResult:
+    """The textbook iteration on coefficient lists, for any field."""
     n = len(s)
     c = [field.one]  # current connection polynomial, ascending
     b = [field.one]  # copy from before the last length change
@@ -74,6 +83,33 @@ def berlekamp_massey(seq: Sequence, field: Field) -> BMResult:
             m += 1
         c = new_c
     return BMResult(L, UniPoly(field, c))
+
+
+def _berlekamp_massey_packed(s: list) -> BMResult:
+    """The same iteration over GF(2) on ints, bit i the coefficient of x^i.
+
+    With s_0 at the top bit of r, bit i of r >> (n - 1 - j) is s_(j-i),
+    so the discrepancy at step j is the parity of c masked by that
+    window; the update c - (d / bb) x^m b is c ^ (b << m).
+    """
+    n = len(s)
+    r = _packed(s)
+    c = b = 1
+    L = 0
+    m = 1
+    for j in range(n):
+        if not (c & (r >> (n - 1 - j))).bit_count() & 1:
+            m += 1
+            continue
+        new_c = c ^ (b << m)
+        if 2 * L <= j:
+            b = c
+            L = j + 1 - L
+            m = 1
+        else:
+            m += 1
+        c = new_c
+    return BMResult(L, _unpacked(c))
 
 
 class BruteForceResult(NamedTuple):
@@ -257,7 +293,7 @@ def _dai_ea_packed(k: int, s: list) -> EAResult:
     quotient.
     """
     r_prev = 1 << (2 * k)
-    r_cur = int("".join(map(str, s)), 2)  # s_0 at bit 2k - 1
+    r_cur = _packed(s)  # s_0 at bit 2k - 1
     c_prev, c_cur = 0, 1
     quotients = []
     degrees = []
@@ -275,6 +311,11 @@ def _dai_ea_packed(k: int, s: list) -> EAResult:
         degrees.append(rem.bit_length() - 1)
     polys = {q: _unpacked(q) for q in set(quotients)}  # immutable, so shared
     return EAResult(_unpacked(c_cur), tuple(polys[q] for q in quotients), tuple(degrees))
+
+
+def _packed(s: list) -> int:
+    """GF(2) terms as one int with s_0 at the top bit, bit len(s) - 1."""
+    return int("".join(map(str, s)) or "0", 2)
 
 
 def _unpacked(mask: int) -> UniPoly:

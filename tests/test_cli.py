@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings, strategies
 
 from seqideal.cli import (
     AnalysisReport,
@@ -173,6 +178,18 @@ def test_analyze_check_bm_mismatch_exits_2(tmp_path, capsys, monkeypatch):
     assert code == 2 and "MISMATCH" in err
 
 
+def _corrupt_engine(monkeypatch, engine_name, corrupt):
+    import seqideal.vop_engine as engine_mod
+
+    fast = getattr(engine_mod, engine_name)
+
+    def corrupted(F):
+        vop, profile = fast(F)
+        return vop, corrupt(profile)
+
+    monkeypatch.setattr(engine_mod, engine_name, corrupted)
+
+
 def _check_fast_engine(monkeypatch, field, seq, engine_name, corrupt):
     import seqideal.vop_engine as engine_mod
 
@@ -189,13 +206,7 @@ def _check_fast_engine(monkeypatch, field, seq, engine_name, corrupt):
     monkeypatch.setattr(engine_mod, "synthesize", generic)
     monkeypatch.setenv("SEQIDEAL_DEBUG_ASSERTS", "1")
     assert build_report(field, seq, True, True).to_dict() == want
-    fast = getattr(engine_mod, engine_name)
-
-    def corrupted(F):
-        vop, profile = fast(F)
-        return vop, corrupt(profile)
-
-    monkeypatch.setattr(engine_mod, engine_name, corrupted)
+    _corrupt_engine(monkeypatch, engine_name, corrupt)
     with pytest.raises(AssertionError, match="disagrees"):
         build_report(field, seq, True)
 
@@ -213,6 +224,85 @@ def test_q_reports_use_the_rational_engine(monkeypatch):
         return profile[:3] + [e._replace(delta=e.delta + 1)] + profile[4:]
 
     _check_fast_engine(monkeypatch, QQ, FITZ, "synthesize_rational", wrong_delta)
+
+
+def test_gf2_check_bm_runs_the_packed_bm(tmp_path, capsys, monkeypatch):
+    import random
+
+    import seqideal.oracles as oracles_mod
+
+    rng = random.Random(4)
+    inputs = ["0", "1", "0 0 0 0", "0 0 1 1 0 1", "1101000100010000"]
+    inputs += ["".join(rng.choice("01") for _ in range(n)) for n in (17, 100, 600)]
+    flag_sets = ([], ["--json"], ["--profile"], ["--json", "--profile"])
+    runs = []
+    for i, text in enumerate(inputs):
+        p = tmp_path / f"in{i}.txt"
+        p.write_text(text + "\n")
+        for flags in flag_sets:
+            runs.append(["analyze", "--field", "gf2", "--input", str(p), "--check-bm", *flags])
+    want = [run_cli(capsys, *argv) for argv in runs]
+    assert all(code == 0 and "bm-check: ok" in err for code, _, err in want)
+
+    def lists_unavailable(s, field):
+        raise RuntimeError("list BM called")
+
+    monkeypatch.setattr(oracles_mod, "_berlekamp_massey_lists", lists_unavailable)
+    assert [run_cli(capsys, *argv) for argv in runs] == want
+    # the patch is live: any other field still runs the list BM
+    with pytest.raises(RuntimeError, match="list BM"):
+        main(["analyze", "--field", "gfp:7", "--input", runs[0][4], "--check-bm"])
+
+
+def test_analyze_reports_a_broken_plcp_invariant(tmp_path, capsys, monkeypatch):
+    # the first length change of a Rueppel prefix, with d moved off 1:
+    # lambda still says perfect, the shift pattern says not
+    def shifted_d(profile):
+        i = next(i for i, e in enumerate(profile) if e.delta and e.d == 1)
+        return profile[:i] + [profile[i]._replace(d=2)] + profile[i + 1:]
+
+    _corrupt_engine(monkeypatch, "synthesize_packed", shifted_d)
+    seq = [1, 1, 0, 1, 0, 0, 0, 1, 0, 0]
+    with pytest.raises(AssertionError, match="criteria disagree"):
+        build_report(GF2, seq, False)
+    p = tmp_path / "in.txt"
+    p.write_text("".join(map(str, seq)) + "\n")
+    code, out, err = run_cli(capsys, "analyze", "--field", "gf2", "--input", str(p))
+    assert (code, out) == (2, "")
+    assert err == "error: profile and shift criteria disagree; engine invariant broken\n"
+
+
+def test_analyze_reports_a_debug_cross_check_mismatch(tmp_path, capsys, monkeypatch):
+    _corrupt_engine(monkeypatch, "synthesize_packed", lambda profile: profile[:-1])
+    monkeypatch.setenv("SEQIDEAL_DEBUG_ASSERTS", "1")
+    p = tmp_path / "in.txt"
+    p.write_text("1 1 0 1 0 0 0 1 0\n")
+    code, out, err = run_cli(capsys, "analyze", "--field", "gf2", "--input", str(p))
+    assert (code, out) == (2, "")
+    assert err == "error: the GF(2) engine disagrees with synthesize\n"
+
+
+_FUZZ_ALPHABET = "01 ,\t\n\r-+/xXaFg.e_9\u0660\u2028"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tag=strategies.sampled_from(["gf2", "gfp:7", "q"]),
+    text=strategies.one_of(
+        strategies.text(alphabet=_FUZZ_ALPHABET, max_size=60), strategies.text(max_size=60)
+    ),
+)
+@example(tag="q", text="1/0")
+@example(tag="gf2", text="0x")
+@example(tag="gfp:7", text="")
+def test_analyze_fuzzed_input_exits_0_or_1(tag, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["analyze", "--field", tag, "--input", path])
+    assert code in (0, 1)
 
 
 def test_analyze_oracle_guard(tmp_path, capsys):

@@ -10,6 +10,7 @@ from seqideal import (
     GF2,
     QQ,
     FieldError,
+    InverseForm,
     UniPoly,
     berlekamp_massey,
     brute_force_min_poly,
@@ -19,9 +20,9 @@ from seqideal import (
     minimal_polynomial,
     reciprocal,
 )
-from seqideal.oracles import _dai_ea_lists, connection_equals
+from seqideal.oracles import _berlekamp_massey_lists, _dai_ea_lists, connection_equals
 from seqideal.rueppel import ralg, rueppel_sequence
-from seqideal.vop_engine import unpack_bits
+from seqideal.vop_engine import _synthesize_fast, unpack_bits
 from tests.conftest import FITZ
 
 
@@ -91,6 +92,68 @@ def test_bm_on_rueppel_prefixes():
         res = berlekamp_massey(seq, GF2)
         assert res.L == k
         assert res.gamma == reciprocal(dehomogenize(ralg(2 * k).f))
+
+
+def test_bm_packed_matches_lists_exhaustively():
+    # GF(2) runs packed; the list BM is the reference, with the empty,
+    # every all-zero and every leading-zero sequence among the inputs
+    for n in range(15):
+        for bits in itertools.product((0, 1), repeat=n):
+            assert berlekamp_massey(bits, GF2) == _berlekamp_massey_lists(list(bits), GF2), bits
+
+
+def test_bm_packed_matches_lists_on_rueppel_prefixes():
+    for k in range(1, 257):
+        seq = rueppel_sequence(2 * k)
+        assert berlekamp_massey(seq, GF2) == _berlekamp_massey_lists(seq, GF2), k
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=strategies.integers(0, 1024), bits=strategies.integers(0, (1 << 1024) - 1))
+@example(n=1024, bits=0)
+@example(n=1024, bits=1)
+@example(n=1024, bits=1 << 1023)
+def test_bm_packed_matches_lists_property(n, bits):
+    seq = unpack_bits(bits, n)
+    assert berlekamp_massey(seq, GF2) == _berlekamp_massey_lists(seq, GF2)
+
+
+_BM_FIELDS = {
+    "gf2": (GF2, strategies.integers(0, 1)),
+    "gf5": (GF(5), strategies.integers(0, 4)),
+    "gf2^31-1": (GF(2**31 - 1), strategies.integers(0, 2**31 - 2)),
+    "q": (QQ, strategies.fractions(-9, 9, max_denominator=9)),
+}
+
+
+@strategies.composite
+def _runs(draw, elements):
+    # runs of one repeated value, zeros drawn as often as anything else,
+    # so zero runs and all-zero prefixes are common
+    value = strategies.one_of(strategies.just(0), elements)
+    run = strategies.tuples(value, strategies.integers(1, 12))
+    runs = draw(strategies.lists(run, min_size=1, max_size=16))
+    return [v for v, times in runs for _ in range(times)][:64]
+
+
+@pytest.mark.parametrize("tag", sorted(_BM_FIELDS))
+def test_engine_agrees_with_bm_property(tag):
+    field, elements = _BM_FIELDS[tag]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seq=_runs(elements))
+    @example(seq=[0] * 64)
+    @example(seq=[0] * 63 + [1])
+    def check(seq):
+        seq = [field.coerce(v) for v in seq]
+        bm = berlekamp_massey(seq, field)
+        assert linear_complexity(seq, field) == bm.L
+        vop, _ = _synthesize_fast(InverseForm(field, seq))
+        if not vop.degenerate and vop.g.degree > vop.f.degree:
+            # the minimal polynomial is unique, so BM must find it
+            assert connection_equals(bm, minimal_polynomial(seq, field))
+
+    check()
 
 
 # -- brute force --------------------------------------------------------------
