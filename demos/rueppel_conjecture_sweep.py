@@ -46,8 +46,9 @@ print()
 print("matrix recurrence agrees with the loop for n <= 512:",
       all(matrix_recurrence(n) == ralg(n) for n in range(1, 513)))
 
-# The generic engine sees the predicted discrepancy pattern: zero at
-# even steps, one (with a unit gap) at odd ones.
+# The bit-packed engine, run from the Rueppel basis, sees the predicted
+# discrepancy pattern: zero at even steps, one (with a unit gap) at odd
+# ones.
 print("discrepancy parity pattern holds at n = 4096:",
       delta_parity_check(1 << 12))
 

@@ -26,8 +26,13 @@ from itertools import islice
 from typing import Optional, Union
 
 from .bivariate import Form, InverseForm, UniPoly, dehomogenize
-from .field import GF2, Field, FieldError, field_from_tag
-from .oracles import berlekamp_massey, brute_force_min_poly, connection_equals
+from .field import GF2, Field, FieldError, field_from_tag, pack_bits
+from .oracles import (
+    berlekamp_massey,
+    brute_force_min_poly,
+    connection_equals,
+    satisfies_recurrence,
+)
 from .rueppel import (
     _ralg_pairs,
     closed_form,
@@ -43,7 +48,6 @@ from .vop_engine import (
     _synthesize_fast,
     is_plcp,
     minimal_leading_forms,
-    pack_bits,
     random_plcp_sequence,
     synthesize,
     synthesize_packed,
@@ -254,15 +258,18 @@ def cmd_analyze(args) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    name = args.input if args.input != "-" else "<stdin>"
     try:
         text = _read_input(args.input)
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except UnicodeDecodeError as e:
+        print(f"error: {name}: {e}", file=sys.stderr)
+        return 1
     try:
         seq = parse_sequence_text(text, field)
     except CliParseError as e:
-        name = args.input if args.input != "-" else "<stdin>"
         print(f"{name}:{e}", file=sys.stderr)
         return 1
     try:
@@ -292,9 +299,10 @@ def cmd_analyze(args) -> int:
             )
             return 1
         bf = brute_force_min_poly(seq, field)
-        ok = bf.lam == report.lam and (
-            bf.witnesses is None or report.min_poly in bf.witnesses
-        )
+        # a witness is monic of degree lambda and satisfies the recurrence
+        mp = report.min_poly
+        ok = bf.lam == report.lam == mp.degree and mp.is_monic
+        ok = ok and satisfies_recurrence(mp, seq)
         print(f"oracle-check: {'ok' if ok else 'MISMATCH'}", file=sys.stderr)
         if not ok:
             status = 2

@@ -26,6 +26,7 @@ integer and reduces it mod p.  The rationals accept ``a`` or ``a/b`` with
 from __future__ import annotations
 
 import operator
+import re
 from fractions import Fraction
 
 __all__ = [
@@ -38,6 +39,8 @@ __all__ = [
     "QQ",
     "GF",
     "parse_element",
+    "pack_bits",
+    "unpack_bits",
 ]
 
 
@@ -325,6 +328,9 @@ class _PrimeField(Field):
         return rng.randrange(self.p)
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 class _Rationals(Field):
     kind = "q"
     order = None
@@ -386,7 +392,8 @@ class _Rationals(Field):
         raise FieldError(f"not a rational value: {x!r}")
 
     def parse(self, text: str):
-        if "." in text:
+        # Fraction alone would also take 1e1000000, 1E3 and 1_000
+        if not _RATIONAL.fullmatch(text):
             raise ParseError(f"rationals are written a or a/b, got {text!r}")
         try:
             return Fraction(text)
@@ -429,6 +436,21 @@ def field_from_tag(tag: str) -> Field:
             ) from None
         return GF(p)
     raise FieldError(f"unknown field {tag!r} (use gf2, gfp:<p> or q)")
+
+
+def pack_bits(bits) -> int:
+    """Pack an iterable of 0/1 into an int, index i at bit i: the GF(2)
+    layout of sequences and (with their degree) of homogeneous forms."""
+    mask = 0
+    for i, b in enumerate(bits):
+        if b not in (0, 1):
+            raise FieldError(f"not a bit: {b!r}")
+        mask |= b << i
+    return mask
+
+
+def unpack_bits(mask: int, n: int) -> list[int]:
+    return [(mask >> i) & 1 for i in range(n)]
 
 
 class FieldElement:

@@ -23,13 +23,14 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Sequence
 
 from .bivariate import UniPoly
-from .field import GF2, Field, FieldError
+from .field import GF2, Field, FieldError, unpack_bits
 
 __all__ = [
     "BMResult",
     "berlekamp_massey",
     "BruteForceResult",
     "brute_force_min_poly",
+    "satisfies_recurrence",
     "EAResult",
     "dai_ea",
     "reciprocal",
@@ -112,23 +113,27 @@ def _berlekamp_massey_packed(s: list) -> BMResult:
     return BMResult(L, _unpacked(c))
 
 
+WITNESS_ENUMERATE_CAP = 1 << 16
+
+
 class BruteForceResult(NamedTuple):
     """``witnesses`` is the set of all monic minimal polynomials, or None
-    when that set is infinite (possible only over the rationals)."""
+    when that set is infinite or too many: over the rationals, or above
+    WITNESS_ENUMERATE_CAP polynomials.  :func:`satisfies_recurrence`
+    decides membership without the set."""
 
     lam: int
     witnesses: Optional[frozenset]
 
 
-def _solve_affine(field: Field, rows: list[list], rhs: list):
-    """Solve rows * c = rhs over the field.
+def _solve_affine(field: Field, rows: list[list], rhs: list, cols: int):
+    """Solve rows * c = rhs over the field, for c with cols entries.
 
     Returns None when inconsistent, otherwise (particular, basis) where
     basis spans the homogeneous solutions.  Plain exact elimination; all
     arithmetic stays in the field so there is no rounding anywhere.
     """
     m = len(rows)
-    cols = len(rows[0]) if rows else 0
     a = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
     piv_of_col: dict[int, int] = {}
     r = 0
@@ -193,46 +198,42 @@ def brute_force_min_poly(
     For each candidate degree l the linear system
     c_l s_(k+l) + ... + c_0 s_k = 0, 0 <= k <= n - l - 1, c_l = 1,
     is solved by exact Gaussian elimination; the first feasible l is the
-    linear complexity.  Cost grows quickly, hence the length guard.
+    linear complexity (at l = n the system has no rows, so every monic
+    polynomial of degree n is a witness).  Cost grows quickly, hence the
+    length guard.
     """
     s = [field.coerce(a) for a in seq]
     n = len(s)
     if n > max_len:
         raise FieldError(f"brute force is limited to length {max_len}, got {n}")
     for l in range(n + 1):
-        if l == n:
-            # every monic polynomial of degree n annihilates vacuously
-            if not field.is_finite:
-                return BruteForceResult(n, None)
-            polys = frozenset(
-                UniPoly(field, list(p) + [field.one])
-                for p in _span(field, [field.zero] * n, _identity_basis(field, n))
-            )
-            return BruteForceResult(n, polys)
         rows = [[s[k + i] for i in range(l)] for k in range(n - l)]
         rhs = [field.neg(s[k + l]) for k in range(n - l)]
-        sol = _solve_affine(field, rows, rhs)
+        sol = _solve_affine(field, rows, rhs, l)
         if sol is None:
             continue
         particular, basis = sol
-        if basis and not field.is_finite:
-            return BruteForceResult(l, None)
-        if field.is_finite:
-            pts = _span(field, particular, basis)
-        else:
+        if not basis:
             pts = [particular]
+        elif not field.is_finite or field.order ** len(basis) > WITNESS_ENUMERATE_CAP:
+            return BruteForceResult(l, None)
+        else:
+            pts = _span(field, particular, basis)
         polys = frozenset(UniPoly(field, p + [field.one]) for p in pts)
         return BruteForceResult(l, polys)
     raise AssertionError("unreachable: degree n is always feasible")
 
 
-def _identity_basis(field: Field, n: int):
-    out = []
-    for i in range(n):
-        v = [field.zero] * n
-        v[i] = field.one
-        out.append(v)
-    return out
+def satisfies_recurrence(c: UniPoly, seq: Sequence) -> bool:
+    """Whether c_l s_(k+l) + ... + c_0 s_k = 0 for 0 <= k <= n - l - 1,
+    l = deg c: a monic c of degree lambda is then a minimal polynomial,
+    one of :func:`brute_force_min_poly`'s witnesses."""
+    field = c.field
+    s = [field.coerce(a) for a in seq]
+    l = c.degree
+    return all(
+        field.is_zero(field.dot(c.coeffs, s[k : k + l + 1])) for k in range(len(s) - l)
+    )
 
 
 class EAResult(NamedTuple):
@@ -319,7 +320,7 @@ def _packed(s: list) -> int:
 
 
 def _unpacked(mask: int) -> UniPoly:
-    return UniPoly._raw(GF2, [(mask >> i) & 1 for i in range(mask.bit_length())])
+    return UniPoly._raw(GF2, unpack_bits(mask, mask.bit_length()))
 
 
 def reciprocal(c: UniPoly) -> UniPoly:

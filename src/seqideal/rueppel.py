@@ -7,9 +7,9 @@ floor((n + 1) / 2), and the annihilator pair construction specializes on
 it to a loop with no field multiplications or divisions at all: the
 update is gated purely by the parity of the loop index (``ralg``).
 
-Everything here works on bit-packed GF(2) polynomials in the format of
-:class:`~seqideal.vop_engine.PackedForm`: a homogeneous form of known
-degree is a Python int whose bit i is the coefficient of x^i, so adding
+Everything here works on bit-packed GF(2) polynomials: a homogeneous
+form of known degree is a Python int whose bit i is the coefficient of
+x^i, read back by :func:`~seqideal.vop_engine.packed_form`, so adding
 forms is XOR, multiplying by x is a left shift, and multiplying by z
 just raises the recorded degree.  That packing is what makes the
 desk-scale sweeps (n up to 2^15) fast.
@@ -27,8 +27,8 @@ from itertools import islice
 from typing import NamedTuple
 
 from .bivariate import Form, InverseForm
-from .field import GF2, FieldError
-from .vop_engine import VOP, PackedForm, synthesize, synthesize_packed, unpack_bits
+from .field import GF2, FieldError, unpack_bits
+from .vop_engine import VOP, packed_form, synthesize, synthesize_packed
 
 __all__ = [
     "rueppel_sequence",
@@ -37,7 +37,6 @@ __all__ = [
     "rueppel_basis",
     "synthesize_rueppel",
     "ralg",
-    "ralg_packed",
     "ralg_lambda_sweep",
     "closed_form",
     "matrix_recurrence",
@@ -89,10 +88,6 @@ def synthesize_rueppel(n: int):
     return synthesize(rueppel_inverse_form(n), basis=rueppel_basis())
 
 
-def _packed_vop(f: PackedForm, g: PackedForm) -> VOP:
-    return VOP(f.to_form(), g.to_form())
-
-
 def _ralg_pairs(n: int):
     """The packed pair (f_mask, f_deg, g_mask, g_deg) after each of the
     first n Rueppel bits, starting from (x + z, z) after the first."""
@@ -105,7 +100,7 @@ def _ralg_pairs(n: int):
         yield f_mask, f_deg, g_mask, g_deg
 
 
-def ralg_packed(n: int) -> tuple[PackedForm, PackedForm]:
+def ralg(n: int) -> VOP:
     """Division-free pair construction for the first n Rueppel bits.
 
     Starts from (x + z, z) and per consumed term does at most one
@@ -116,13 +111,7 @@ def ralg_packed(n: int) -> tuple[PackedForm, PackedForm]:
         raise FieldError("need n >= 1")
     for f_mask, f_deg, g_mask, g_deg in _ralg_pairs(n):
         pass
-    return PackedForm(f_mask, f_deg), PackedForm(g_mask, g_deg)
-
-
-def ralg(n: int) -> VOP:
-    """Like :func:`ralg_packed` but returning ordinary forms."""
-    f, g = ralg_packed(n)
-    return _packed_vop(f, g)
+    return VOP(packed_form(f_mask, f_deg), packed_form(g_mask, g_deg))
 
 
 def ralg_lambda_sweep(max_n: int) -> list[int]:
@@ -145,29 +134,25 @@ def closed_form(l: int) -> Form:
     while p <= l:
         mask |= 1 << (l - p)
         p <<= 1
-    return PackedForm(mask, l).to_form()
+    return packed_form(mask, l)
 
 
 # -- matrix recurrence -----------------------------------------------------
 
-# matrix entries are (mask, deg) pairs; None encodes the zero form
+# matrix entries are packed (mask, deg) pairs; a zero form has mask 0
+# and keeps the degree the homogeneous product gives its position
 def _ent_add(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
     if a[1] != b[1]:
         raise AssertionError("inhomogeneous matrix entry")
-    m = a[0] ^ b[0]
-    return (m, a[1]) if m else None
+    return a[0] ^ b[0], a[1]
 
 
 def _ent_x(a):
-    return None if a is None else (a[0] << 1, a[1] + 1)
+    return a[0] << 1, a[1] + 1
 
 
 def _ent_z(a):
-    return None if a is None else (a[0], a[1] + 1)
+    return a[0], a[1] + 1
 
 
 def matrix_recurrence(n: int) -> VOP:
@@ -182,7 +167,7 @@ def matrix_recurrence(n: int) -> VOP:
     if n < 1:
         raise FieldError("need n >= 1")
     # accumulated product, row-major 2x2, starting from the identity
-    p11, p12, p21, p22 = (1, 0), None, None, (1, 0)
+    p11, p12, p21, p22 = (1, 0), (0, 0), (0, 0), (1, 0)
     for i in range(n - 1):
         if i & 1:
             # right-multiply by U = ((x, z), (1, 0))
@@ -192,15 +177,12 @@ def matrix_recurrence(n: int) -> VOP:
             # right-multiply by E = diag(1, z)
             p12 = _ent_z(p12)
             p22 = _ent_z(p22)
-    # row (x + z, z) times the product
-    def xz_times(a):  # (x + z) * entry
-        return None if a is None else ((a[0] << 1) ^ a[0], a[1] + 1)
-
-    f_ent = _ent_add(xz_times(p11), _ent_z(p21))
-    g_ent = _ent_add(xz_times(p12), _ent_z(p22))
-    if f_ent is None or g_ent is None:
+    # row (x + z, z) times the product: column j gives x p1j + z (p1j + p2j)
+    f_mask, f_deg = _ent_add(_ent_x(p11), _ent_z(_ent_add(p11, p21)))
+    g_mask, g_deg = _ent_add(_ent_x(p12), _ent_z(_ent_add(p12, p22)))
+    if not f_mask or not g_mask:
         raise AssertionError("matrix recurrence produced a zero generator")
-    return _packed_vop(PackedForm(*f_ent), PackedForm(*g_ent))
+    return VOP(packed_form(f_mask, f_deg), packed_form(g_mask, g_deg))
 
 
 # -- parity of the discrepancies -------------------------------------------
@@ -278,25 +260,20 @@ class QuadExt(NamedTuple):
 
 RHO = QuadExt(0, 1)
 RHO_INV = QuadExt(0b10, 1)  # x + rho
+ONE_PLUS_RHO = QuadExt(1, 1)
+ONE_PLUS_RHO_INV = QuadExt(1, 0) + RHO_INV
 
 
 def _eta(k: int) -> QuadExt:
     """(1 + rho) rho^k + (1 + rho^-1) rho^-k."""
-    one_plus_rho = QuadExt(1, 1)
-    one_plus_rho_inv = QuadExt(1, 0) + RHO_INV
-    return one_plus_rho * RHO.pow(k) + one_plus_rho_inv * RHO_INV.pow(k)
+    return ONE_PLUS_RHO * RHO.pow(k) + ONE_PLUS_RHO_INV * RHO_INV.pow(k)
 
 
-def _eta_checks(k: int, eta: QuadExt) -> bool:
-    if eta.b != 0:
-        return False
-    poly = eta.a
-    if poly & 1:
-        return False  # x must divide it
-    if poly.bit_length() - 1 != k + 1:
-        return False
-    f, _ = ralg_packed(2 * k)
-    return poly == f.mask << 1  # equals x times the dehomogenized generator
+def _eta_certifies(k: int, eta: QuadExt, f_mask: int) -> bool:
+    """Whether eta is x f(x, 1) for the generator f of 2k bits, given as
+    its packed mask: no rho component, divisible by x, degree k + 1."""
+    a = eta.a
+    return eta.b == 0 and not a & 1 and a.bit_length() - 1 == k + 1 and a == f_mask << 1
 
 
 def quad_ext_identity(k: int) -> bool:
@@ -306,7 +283,9 @@ def quad_ext_identity(k: int) -> bool:
     times the dehomogenized generator."""
     if k < 1:
         raise FieldError("need k >= 1")
-    return _eta_checks(k, _eta(k))
+    for f_mask, _, _, _ in _ralg_pairs(2 * k):
+        pass
+    return _eta_certifies(k, _eta(k), f_mask)
 
 
 def quad_ext_sweep(max_k: int) -> bool:
@@ -314,17 +293,12 @@ def quad_ext_sweep(max_k: int) -> bool:
     ladder (one multiplication by rho and rho^-1 per step)."""
     if max_k < 1:
         raise FieldError("need max_k >= 1")
-    one_plus_rho = QuadExt(1, 1)
-    one_plus_rho_inv = QuadExt(1, 0) + RHO_INV
     rk = QuadExt(1, 0)
     rmk = QuadExt(1, 0)
     even_prefixes = islice(_ralg_pairs(2 * max_k), 1, None, 2)  # 2k bits in
     for k, (f_mask, _, _, _) in zip(range(1, max_k + 1), even_prefixes):
         rk = rk * RHO
         rmk = rmk * RHO_INV
-        eta = one_plus_rho * rk + one_plus_rho_inv * rmk
-        if eta.b != 0 or eta.a != f_mask << 1 or eta.a & 1:
-            return False
-        if eta.a.bit_length() - 1 != k + 1:
+        if not _eta_certifies(k, ONE_PLUS_RHO * rk + ONE_PLUS_RHO_INV * rmk, f_mask):
             return False
     return True

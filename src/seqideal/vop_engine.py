@@ -21,9 +21,10 @@ independently via the equivalent shift pattern of the construction, and
 insists the two agree.
 
 Over GF(2), ``synthesize_packed`` runs the same construction on
-bit-packed forms (:class:`PackedForm`, also the format of the Rueppel
-loops): a discrepancy is the parity of an AND and an update is an XOR of
-shifted ints.  Over QQ, ``synthesize_rational`` runs it fraction-free,
+bit-packed forms (a :func:`~seqideal.field.pack_bits` mask and a total
+degree, read back by :func:`packed_form`; the Rueppel loops use the same
+format): a discrepancy is the parity of an AND and an update is an XOR
+of shifted ints.  Over QQ, ``synthesize_rational`` runs it fraction-free,
 on integer numerators over one denominator per form, which pays one
 reduction per step instead of one per coefficient operation.  Both
 return exactly what ``synthesize`` returns, which stays the generic
@@ -55,13 +56,11 @@ from .bivariate import (
     discrepancy_window,
     form_gcd,
 )
-from .field import GF2, QQ, Field, FieldError
+from .field import GF2, QQ, Field, FieldError, pack_bits, unpack_bits
 
 __all__ = [
     "VOP",
-    "PackedForm",
-    "pack_bits",
-    "unpack_bits",
+    "packed_form",
     "ProfileEntry",
     "StepRecord",
     "VOPState",
@@ -116,36 +115,6 @@ class StepRecord(NamedTuple):
     q: object
     f: Form
     g: Form
-
-
-# -- the bit-packed GF(2) format ---------------------------------------------
-
-
-def pack_bits(bits) -> int:
-    """Pack an iterable of 0/1 into an int, index i at bit i."""
-    mask = 0
-    for i, b in enumerate(bits):
-        if b not in (0, 1):
-            raise FieldError(f"not a bit: {b!r}")
-        mask |= b << i
-    return mask
-
-
-def unpack_bits(mask: int, n: int) -> list[int]:
-    return [(mask >> i) & 1 for i in range(n)]
-
-
-class PackedForm(NamedTuple):
-    """Bit-packed homogeneous GF(2) form: bit i of mask is the x^i
-    coefficient, deg is the total degree (the z-exponents are implied by
-    homogeneity).  Adding forms is XOR, multiplying by x is a left
-    shift, and multiplying by z just raises deg."""
-
-    mask: int
-    deg: int
-
-    def to_form(self) -> Form:
-        return Form(GF2, unpack_bits(self.mask, self.deg + 1))
 
 
 def _debug_enabled() -> bool:
@@ -389,6 +358,12 @@ def synthesize_trace(F: InverseForm, basis: Optional[tuple[Form, Form]] = None):
     return state.vop(), state.finish_profile(), list(state.trace or [])
 
 
+def packed_form(mask: int, deg: int) -> Form:
+    """The GF(2) form of total degree deg whose x^i coefficient is bit i
+    of mask; adding packed forms is XOR, x is a left shift, z raises deg."""
+    return Form(GF2, unpack_bits(mask, deg + 1))
+
+
 def _zero_prefix(seq, profile: list) -> int:
     """Index t0 of the first nonzero term (len(seq) when there is none).
 
@@ -456,7 +431,7 @@ def synthesize_packed(F: InverseForm, basis: Optional[tuple[Form, Form]] = None)
         gdeg += 1
         d += 1
     profile.append(ProfileEntry(n - 1, fdeg, None, d))
-    return VOP(PackedForm(f, fdeg).to_form(), PackedForm(g, gdeg).to_form()), profile
+    return VOP(packed_form(f, fdeg), packed_form(g, gdeg)), profile
 
 
 def synthesize_rational(F: InverseForm):

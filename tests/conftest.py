@@ -8,6 +8,7 @@ basis (x + z, z).
 """
 
 import pytest
+from hypothesis import strategies
 
 from seqideal import GF, GF2, QQ
 
@@ -45,3 +46,22 @@ ALL_FIELDS = [GF2, GF(5), GF(7), QQ]
 @pytest.fixture(params=ALL_FIELDS, ids=lambda f: f.tag)
 def any_field(request):
     return request.param
+
+
+# hypothesis value strategies for property tests over four fields
+FIELD_VALUES = {
+    "gf2": (GF2, strategies.integers(0, 1)),
+    "gf5": (GF(5), strategies.integers(0, 4)),
+    "gf2^31-1": (GF(2**31 - 1), strategies.integers(0, 2**31 - 2)),
+    "q": (QQ, strategies.fractions(-9, 9, max_denominator=9)),
+}
+
+
+@strategies.composite
+def value_runs(draw, elements):
+    # runs of one repeated value, zeros drawn as often as anything else,
+    # so zero runs and all-zero prefixes are common; 1 to 64 terms
+    value = strategies.one_of(strategies.just(0), elements)
+    run = strategies.tuples(value, strategies.integers(1, 12))
+    runs = draw(strategies.lists(run, min_size=1, max_size=16))
+    return [v for v, times in runs for _ in range(times)][:64]

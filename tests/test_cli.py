@@ -17,12 +17,12 @@ from seqideal.cli import (
     main,
     parse_sequence_text,
 )
-from seqideal import GF, GF2, QQ
-from seqideal.oracles import BMResult
+from seqideal import GF, GF2, QQ, EngineError, FieldError
+from seqideal.oracles import BMResult, BruteForceResult
 from seqideal.bivariate import UniPoly
 from seqideal.field import PRIME_BOUND
 from seqideal.vop_engine import THETA_ENUMERATE_CAP
-from tests.conftest import FITZ
+from tests.conftest import FIELD_VALUES, FITZ, value_runs
 
 FITZ_TEXT = "1 0 0 0 -1\n1 0 0 1 -2\n"
 
@@ -124,6 +124,34 @@ def test_analyze_enumerated_theta_round_trip(tmp_path, capsys):
     assert rep.to_dict() == doc
 
 
+@pytest.mark.parametrize("tag", sorted(FIELD_VALUES))
+def test_report_dict_round_trip_property(tag):
+    field, elements = FIELD_VALUES[tag]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seq=value_runs(elements),
+        with_profile=strategies.booleans(),
+        enumerate_theta=strategies.booleans(),
+    )
+    # nine Rueppel bits: two minimal leading forms over GF(2)
+    @example(seq=[1, 1, 0, 1, 0, 0, 0, 1, 0], with_profile=True, enumerate_theta=True)
+    @example(seq=[0] * 5, with_profile=False, enumerate_theta=True)
+    def check(seq, with_profile, enumerate_theta):
+        seq = [field.coerce(v) for v in seq]
+        try:
+            report = build_report(field, seq, with_profile, enumerate_theta)
+        except (FieldError, EngineError):
+            # an infinite or capped family has no enumerated theta
+            report = build_report(field, seq, with_profile)
+        doc = json.loads(json.dumps(report.to_dict()))
+        back = AnalysisReport.from_dict(doc)
+        assert back == report
+        assert back.to_dict() == doc
+
+    check()
+
+
 def test_analyze_degenerate_input(capsys, monkeypatch, tmp_path):
     p = tmp_path / "zeros.txt"
     p.write_text("0 0 0 0\n")
@@ -153,6 +181,23 @@ def test_analyze_missing_file(capsys):
     assert code == 1
 
 
+def test_analyze_non_utf8_input(tmp_path, capsys):
+    p = tmp_path / "bad.txt"
+    p.write_bytes(b"\xff0 1\n")
+    code, out, err = run_cli(capsys, "analyze", "--field", "gf2", "--input", str(p))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {p}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("token, col", [("1e1000000", 3), ("1E3", 3), ("1_000", 3)])
+def test_analyze_q_rejects_fraction_extras(tmp_path, capsys, token, col):
+    p = tmp_path / "in.txt"
+    p.write_text(f"1 {token} 2\n")
+    code, out, err = run_cli(capsys, "analyze", "--field", "q", "--input", str(p))
+    assert code == 1 and out == ""
+    assert err == f"{p}:1:{col}: rationals are written a or a/b, got {token!r}\n"
+
+
 def test_analyze_checks_pass(tmp_path, capsys):
     p = tmp_path / "fitz.txt"
     p.write_text(FITZ_TEXT)
@@ -176,6 +221,43 @@ def test_analyze_check_bm_mismatch_exits_2(tmp_path, capsys, monkeypatch):
         capsys, "analyze", "--field", "gf2", "--input", str(p), "--check-bm"
     )
     assert code == 2 and "MISMATCH" in err
+
+
+@pytest.mark.parametrize("tag, text", [("gfp:2147483647", "0 1"), ("gfp:7", "0 " * 9 + "1")])
+def test_analyze_check_oracle_does_not_enumerate(tmp_path, capsys, monkeypatch, tag, text):
+    # lambda = n here, so the witnesses are every monic polynomial of
+    # degree n: p^n of them, which the oracle must not list
+    import seqideal.oracles as oracles_mod
+
+    def no_span(*args):
+        raise RuntimeError("witnesses enumerated")
+
+    monkeypatch.setattr(oracles_mod, "_span", no_span)
+    p = tmp_path / "in.txt"
+    p.write_text(text + "\n")
+    code, _, err = run_cli(
+        capsys, "analyze", "--field", tag, "--input", str(p), "--check-oracle"
+    )
+    assert code == 0 and err == "oracle-check: ok\n"
+
+
+def test_analyze_check_oracle_mismatch_exits_2(tmp_path, capsys, monkeypatch):
+    import seqideal.cli as cli_mod
+
+    p = tmp_path / "in.txt"
+    p.write_text("1 1 0 1\n")
+    run = ("analyze", "--field", "gf2", "--input", str(p), "--check-oracle")
+    # a wrong linear complexity from the oracle
+    monkeypatch.setattr(
+        cli_mod, "brute_force_min_poly", lambda seq, field: BruteForceResult(99, None)
+    )
+    code, _, err = run_cli(capsys, *run)
+    assert code == 2 and "oracle-check: MISMATCH" in err
+    # the right one, but a minimal polynomial that breaks the recurrence
+    monkeypatch.undo()
+    monkeypatch.setattr(cli_mod, "satisfies_recurrence", lambda c, seq: False)
+    code, _, err = run_cli(capsys, *run)
+    assert code == 2 and "oracle-check: MISMATCH" in err
 
 
 def _corrupt_engine(monkeypatch, engine_name, corrupt):

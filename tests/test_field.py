@@ -13,8 +13,7 @@ from seqideal import (
     ParseError,
     parse_element,
 )
-from seqideal.field import PRIME_BOUND, _is_prime
-from seqideal.vop_engine import pack_bits, unpack_bits
+from seqideal.field import PRIME_BOUND, _is_prime, pack_bits, unpack_bits
 
 
 def test_gf2_characteristic_two():
@@ -56,6 +55,16 @@ def test_parse_examples():
         QQ.parse("1.5")
     with pytest.raises(ParseError):
         GF(7).parse("x")
+
+
+def test_rationals_parse_only_a_or_a_over_b():
+    assert QQ.parse("+3") == 3 and QQ.parse("-007") == -7
+    assert QQ.parse("-4/6") == Fraction(-2, 3)
+    # Fraction's own syntax goes further; 1e1000000 alone would build a
+    # 3.3-million-bit integer
+    for text in ("1e1000000", "1E3", "1_000", "1/-2", " 1", "1/", "/2", "\u0661", "inf", ""):
+        with pytest.raises(ParseError, match="rationals are written a or a/b"):
+            QQ.parse(text)
 
 
 def test_prime_check():

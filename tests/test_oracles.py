@@ -20,10 +20,16 @@ from seqideal import (
     minimal_polynomial,
     reciprocal,
 )
-from seqideal.oracles import _berlekamp_massey_lists, _dai_ea_lists, connection_equals
+from seqideal.field import unpack_bits
+from seqideal.oracles import (
+    _berlekamp_massey_lists,
+    _dai_ea_lists,
+    connection_equals,
+    satisfies_recurrence,
+)
 from seqideal.rueppel import ralg, rueppel_sequence
-from seqideal.vop_engine import _synthesize_fast, unpack_bits
-from tests.conftest import FITZ
+from seqideal.vop_engine import _synthesize_fast
+from tests.conftest import FIELD_VALUES, FITZ, value_runs
 
 
 def q(v):
@@ -118,30 +124,12 @@ def test_bm_packed_matches_lists_property(n, bits):
     assert berlekamp_massey(seq, GF2) == _berlekamp_massey_lists(seq, GF2)
 
 
-_BM_FIELDS = {
-    "gf2": (GF2, strategies.integers(0, 1)),
-    "gf5": (GF(5), strategies.integers(0, 4)),
-    "gf2^31-1": (GF(2**31 - 1), strategies.integers(0, 2**31 - 2)),
-    "q": (QQ, strategies.fractions(-9, 9, max_denominator=9)),
-}
-
-
-@strategies.composite
-def _runs(draw, elements):
-    # runs of one repeated value, zeros drawn as often as anything else,
-    # so zero runs and all-zero prefixes are common
-    value = strategies.one_of(strategies.just(0), elements)
-    run = strategies.tuples(value, strategies.integers(1, 12))
-    runs = draw(strategies.lists(run, min_size=1, max_size=16))
-    return [v for v, times in runs for _ in range(times)][:64]
-
-
-@pytest.mark.parametrize("tag", sorted(_BM_FIELDS))
+@pytest.mark.parametrize("tag", sorted(FIELD_VALUES))
 def test_engine_agrees_with_bm_property(tag):
-    field, elements = _BM_FIELDS[tag]
+    field, elements = FIELD_VALUES[tag]
 
     @settings(max_examples=40, deadline=None)
-    @given(seq=_runs(elements))
+    @given(seq=value_runs(elements))
     @example(seq=[0] * 64)
     @example(seq=[0] * 63 + [1])
     def check(seq):
@@ -214,6 +202,38 @@ def test_brute_force_infinite_witness_set_over_q():
     # 0, 1 forces degree 2 with a free coefficient over the rationals
     res = brute_force_min_poly([0, 1], QQ)
     assert res.lam == 2 and res.witnesses is None
+
+
+def test_brute_force_stops_enumerating_above_the_cap(monkeypatch):
+    import seqideal.oracles as oracles_mod
+
+    # lambda = n leaves p^n witnesses
+    assert brute_force_min_poly([0, 1], GF(2**31 - 1)) == (2, None)
+    assert brute_force_min_poly([0] * 9 + [1], GF(7)) == (10, None)
+    monkeypatch.setattr(oracles_mod, "WITNESS_ENUMERATE_CAP", 4)
+    assert len(brute_force_min_poly([0, 1], GF2).witnesses) == 4
+    assert brute_force_min_poly([0, 0, 1], GF2) == (3, None)
+    # a unique witness is never capped
+    assert brute_force_min_poly(rueppel_sequence(10), GF2).witnesses is not None
+
+
+def test_satisfies_recurrence_is_witness_membership(any_field):
+    # every monic polynomial of degree lambda, over the first few
+    # elements, is a witness exactly when it satisfies the recurrence
+    F = any_field
+    values = list(itertools.islice(F.elements(), 3)) if F.is_finite else [
+        F.coerce(v) for v in (0, 1, -1)
+    ]
+    rng = random.Random(21)
+    for _ in range(60):
+        seq = [rng.choice(values) for _ in range(rng.randrange(1, 7))]
+        res = brute_force_min_poly(seq, F)
+        for low in itertools.product(values, repeat=res.lam):
+            c = UniPoly(F, list(low) + [F.one])
+            if res.witnesses is not None:  # None only over QQ here
+                assert satisfies_recurrence(c, seq) == (c in res.witnesses), (seq, c)
+        mp = minimal_polynomial(seq, F)
+        assert mp.degree == res.lam and satisfies_recurrence(mp, seq)
 
 
 # -- the division cascade -----------------------------------------------------

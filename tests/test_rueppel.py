@@ -31,7 +31,8 @@ from seqideal.rueppel import (
     rueppel_bits,
     synthesize_rueppel,
 )
-from seqideal.vop_engine import pack_bits, synthesize_trace, unpack_bits
+from seqideal.field import pack_bits, unpack_bits
+from seqideal.vop_engine import synthesize_trace
 
 
 def test_sequence_examples():
@@ -116,10 +117,18 @@ def test_matrix_recurrence_examples():
     assert (f3, g3) == (v3.f, v3.g)
 
     # accumulated product equals the direct loop
-    for n in (1, 2, 3, 17, 64, 129, 510):
+    for n in range(1, 600):
         assert matrix_recurrence(n) == ralg(n), n
     with pytest.raises(FieldError):
         matrix_recurrence(0)
+
+
+def test_matrix_entries_are_homogeneous_zeros_included():
+    from seqideal.rueppel import _ent_add
+
+    assert _ent_add((0b11, 1), (0b11, 1)) == (0, 1)  # a zero form keeps its degree
+    with pytest.raises(AssertionError, match="inhomogeneous"):
+        _ent_add((0, 1), (0b100, 2))
 
 
 def test_even_index_via_powers_of_p():
@@ -219,8 +228,16 @@ def test_quad_ext_ring():
 
 
 def test_quad_ext_identity_small():
+    from seqideal.rueppel import _eta, _eta_certifies
+
     assert all(quad_ext_identity(k) for k in range(1, 33))
     assert quad_ext_sweep(64)
+    # the certificate rejects a wrong generator and a rho component
+    for k in (1, 2, 5, 16):
+        f_mask = pack_bits(ralg(2 * k).f.coeffs)
+        assert _eta_certifies(k, _eta(k), f_mask)
+        assert not _eta_certifies(k, _eta(k), f_mask ^ 1)
+        assert not _eta_certifies(k, _eta(k) + RHO, f_mask)
     with pytest.raises(FieldError):
         quad_ext_identity(0)
 

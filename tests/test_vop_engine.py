@@ -27,9 +27,10 @@ from seqideal import (
     synthesize,
     synthesize_trace,
 )
-from seqideal.vop_engine import synthesize_packed, synthesize_rational, unpack_bits
+from seqideal.field import unpack_bits
+from seqideal.vop_engine import synthesize_packed, synthesize_rational
 from seqideal.rueppel import rueppel_basis, rueppel_inverse_form, synthesize_rueppel
-from tests.conftest import FIRST8_TABLE, FITZ, FITZ_TABLE
+from tests.conftest import FIELD_VALUES, FIRST8_TABLE, FITZ, FITZ_TABLE, value_runs
 
 
 def _basis_state(F):
@@ -201,6 +202,32 @@ def test_streaming_matches_batch(any_field):
             st.advance()
         assert st.vop() == batch_vop
         assert st.finish_profile() == batch_profile
+
+
+@pytest.mark.parametrize("tag", sorted(FIELD_VALUES))
+def test_any_push_advance_split_matches_batch_property(tag):
+    field, elements = FIELD_VALUES[tag]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seq=value_runs(elements), data=strategies.data())
+    @example(seq=[0] * 63 + [1], data=None)
+    def check(seq, data):
+        # pushes of any size, each followed by any number of advances; a
+        # None draw (the explicit example) pushes one term at a time
+        def draw(lo, hi):
+            return lo if data is None else data.draw(strategies.integers(lo, hi))
+
+        seq = [field.coerce(v) for v in seq]
+        st = VOPState(field)
+        while st.consumed < len(seq):
+            fed = st.consumed + st.pending
+            if fed < len(seq):
+                st.push_many(seq[fed : fed + draw(1, len(seq) - fed)])
+            for _ in range(draw(1, st.pending)):
+                st.advance()
+        assert (st.vop(), st.finish_profile()) == synthesize(InverseForm(field, seq))
+
+    check()
 
 
 def test_state_copy_is_independent():
