@@ -16,11 +16,9 @@ from .field import (
     GF2,
     QQ,
     Field,
-    FieldElement,
     FieldError,
     FieldMismatchError,
     ParseError,
-    parse_element,
 )
 from .bivariate import (
     Form,
@@ -78,11 +76,9 @@ __all__ = [
     "GF2",
     "QQ",
     "Field",
-    "FieldElement",
     "FieldError",
     "FieldMismatchError",
     "ParseError",
-    "parse_element",
     "Form",
     "InverseForm",
     "UniPoly",

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .field import Field, FieldElement, FieldError, FieldMismatchError
+from .field import Field, FieldError, FieldMismatchError
 
 __all__ = [
     "Form",
@@ -135,7 +135,7 @@ class Form:
             raise FieldError("zero form has no leading term")
         for i in range(len(self.coeffs) - 1, -1, -1):
             if not self.field.is_zero(self.coeffs[i]):
-                return i, FieldElement(self.field, self.coeffs[i])
+                return i, self.coeffs[i]
         raise AssertionError("unreachable")
 
     @property
@@ -145,7 +145,7 @@ class Form:
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.grlex_lt()[1].value == self.field.one
+        return bool(self.coeffs) and self.grlex_lt()[1] == self.field.one
 
     @property
     def z_divides(self) -> bool:
@@ -156,15 +156,14 @@ class Form:
         if self.is_zero:
             raise FieldError("cannot normalize the zero form")
         _, lc = self.grlex_lt()
-        if lc.value == self.field.one:
+        if lc == self.field.one:
             return self
-        inv = self.field.inv(lc.value)
+        inv = self.field.inv(lc)
         return Form(self.field, [self.field.mul(inv, c) for c in self.coeffs])
 
-    def eval_at_01(self) -> FieldElement:
+    def eval_at_01(self):
         """Evaluate at x = 0, z = 1, which is the coefficient of z^degree."""
-        v = self.coeffs[0] if self.coeffs else self.field.zero
-        return FieldElement(self.field, v)
+        return self.coeffs[0] if self.coeffs else self.field.zero
 
     # -- arithmetic ------------------------------------------------------
 
@@ -299,9 +298,6 @@ class InverseForm:
         if not self.m <= j <= 0:
             raise FieldError(f"exponent {j} outside [{self.m}, 0]")
         return self.seq[-j]
-
-    def to_sequence(self) -> list[FieldElement]:
-        return [FieldElement(self.field, c) for c in self.seq]
 
     def subform(self, j: int) -> "InverseForm":
         """The inverse form of the prefix (s_0, ..., s_-j).
@@ -480,13 +476,14 @@ class UniPoly:
         return divmod(self, other)[1]
 
     def __call__(self, a):
-        """Evaluate by Horner's rule; accepts raw values or FieldElement."""
+        """Evaluate by Horner's rule at a raw value or int; returns a raw
+        value."""
         f = self.field
         a = f.coerce(a)
         acc = f.zero
         for c in reversed(self.coeffs):
             acc = f.add(f.mul(acc, a), c)
-        return FieldElement(f, acc)
+        return acc
 
     def __eq__(self, other) -> bool:
         return (
@@ -564,7 +561,7 @@ def discrepancy_window(field: Field, fcoeffs: Sequence, seq: Sequence, n: int):
     return field.dot(fcoeffs[i0:], seq[off + i0 : off + e + 1])
 
 
-def discrepancy(f: Form, G: InverseForm) -> FieldElement:
+def discrepancy(f: Form, G: InverseForm):
     """The single product coefficient at total x-degree |f| + |G| and
     z-degree zero; zero when |f| + |G| > 0.
 
@@ -573,10 +570,8 @@ def discrepancy(f: Form, G: InverseForm) -> FieldElement:
     """
     _check_same_field(f.field, G.field)
     if f.is_zero:
-        return FieldElement(f.field, f.field.zero)
-    return FieldElement(
-        f.field, discrepancy_window(f.field, f.coeffs, G.seq, G.n)
-    )
+        return f.field.zero
+    return discrepancy_window(f.field, f.coeffs, G.seq, G.n)
 
 
 # -- homogenization ------------------------------------------------------

@@ -542,7 +542,15 @@ def main(argv=None) -> int:
 
 
 def console_main():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``); pointing stdout at devnull
+        # keeps the interpreter's final flush from raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

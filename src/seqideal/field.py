@@ -10,17 +10,16 @@ is never used anywhere in this package.
 A :class:`Field` instance owns the arithmetic on raw values (``add``,
 ``mul``, ``inv``, ...) plus two vector kernels (:meth:`Field.dot` and
 :meth:`Field.submul_at`) that the synthesis engine calls in its inner
-loops.  :class:`FieldElement` wraps a raw value together with its field
-and overloads the usual operators; mixing elements of different fields
-raises :class:`FieldMismatchError`.  Containers elsewhere in the package
-(forms, sequences, polynomials) store raw values and use the kernels
-directly.
+loops.  Raw values are the only scalar representation: containers
+elsewhere in the package (forms, sequences, polynomials) store them,
+use the kernels directly and hand them back, and refuse to combine
+containers over different fields with :class:`FieldMismatchError`.
 
 Parsing is deliberately asymmetric.  GF(2) accepts only the literal
 tokens ``0`` and ``1``: a stray ``2`` in a keystream is a data error, not
-a residue, and coercing it would hide the bug.  GF(p) accepts any signed
-integer and reduces it mod p.  The rationals accept ``a`` or ``a/b`` with
-``b != 0``.
+a residue, and coercing it would hide the bug.  GF(p) accepts a signed
+integer in ASCII decimal digits and reduces it mod p.  The rationals
+accept ``a`` or ``a/b`` with ``b != 0``.
 """
 
 from __future__ import annotations
@@ -31,14 +30,12 @@ from fractions import Fraction
 
 __all__ = [
     "Field",
-    "FieldElement",
     "FieldError",
     "FieldMismatchError",
     "ParseError",
     "GF2",
     "QQ",
     "GF",
-    "parse_element",
     "pack_bits",
     "unpack_bits",
 ]
@@ -92,11 +89,14 @@ def _is_prime(p: int) -> bool:
 class Field:
     """Descriptor and raw-value arithmetic for one exact field.
 
-    Subclasses fix the raw representation and override the kernels.  Two
-    Field objects compare equal iff they describe the same field.
+    Subclasses fix the raw representation, set ``name`` and ``tag``, and
+    override the kernels.  Two Field objects compare equal iff they
+    describe the same field.
     """
 
     kind: str = ""
+    name: str = ""  # GF(2), GF(7) or QQ
+    tag: str = ""  # short machine tag used in reports: gf2, gfp:7 or q
     p = None  # modulus for prime fields, None otherwise
 
     # -- identity ------------------------------------------------------
@@ -109,15 +109,6 @@ class Field:
 
     def __repr__(self) -> str:
         return self.name
-
-    @property
-    def name(self) -> str:
-        raise NotImplementedError
-
-    @property
-    def tag(self) -> str:
-        """Short machine tag used in reports: ``gf2``, ``gfp:7`` or ``q``."""
-        raise NotImplementedError
 
     @property
     def is_finite(self) -> bool:
@@ -164,7 +155,8 @@ class Field:
     # -- conversions -----------------------------------------------------
 
     def coerce(self, x):
-        """Validate x (raw value, int, or FieldElement) into a raw value."""
+        """Validate x (a raw value or an int) into a raw value; the one
+        place where values from outside the package are checked."""
         raise NotImplementedError
 
     def parse(self, text: str):
@@ -173,9 +165,6 @@ class Field:
 
     def format(self, a) -> str:
         return str(a)
-
-    def element(self, x) -> "FieldElement":
-        return FieldElement(self, self.coerce(x))
 
     def elements(self):
         """Iterate over all raw values of a finite field."""
@@ -193,15 +182,9 @@ class Field:
 
 class _GF2(Field):
     kind = "gf2"
+    name = "GF(2)"
+    tag = "gf2"
     order = 2
-
-    @property
-    def name(self) -> str:
-        return "GF(2)"
-
-    @property
-    def tag(self) -> str:
-        return "gf2"
 
     def add(self, a, b):
         return a ^ b
@@ -237,10 +220,6 @@ class _GF2(Field):
             j += 1
 
     def coerce(self, x):
-        if isinstance(x, FieldElement):
-            if x.field != self:
-                raise FieldMismatchError(f"expected {self.name}, got {x.field.name}")
-            return x.value
         if isinstance(x, bool):
             return int(x)
         if isinstance(x, int) and x in (0, 1):
@@ -262,6 +241,9 @@ class _GF2(Field):
         return rng.randrange(2)
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 class _PrimeField(Field):
     kind = "gfp"
 
@@ -270,14 +252,8 @@ class _PrimeField(Field):
             raise FieldError(f"GF(p) needs a prime modulus, got {p}")
         self.p = p
         self.order = p
-
-    @property
-    def name(self) -> str:
-        return f"GF({self.p})"
-
-    @property
-    def tag(self) -> str:
-        return f"gfp:{self.p}"
+        self.name = f"GF({p})"
+        self.tag = f"gfp:{p}"
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -307,19 +283,15 @@ class _PrimeField(Field):
             j += 1
 
     def coerce(self, x):
-        if isinstance(x, FieldElement):
-            if x.field != self:
-                raise FieldMismatchError(f"expected {self.name}, got {x.field.name}")
-            return x.value
         if isinstance(x, int) and not isinstance(x, bool):
             return x % self.p
         raise FieldError(f"not a {self.name} value: {x!r}")
 
     def parse(self, text: str):
-        try:
-            return int(text, 10) % self.p
-        except ValueError:
-            raise ParseError(f"not an integer for {self.name}: {text!r}") from None
+        # int alone would also take 1_000, spaces and non-ASCII digits
+        if not _INTEGER.fullmatch(text):
+            raise ParseError(f"not an integer for {self.name}: {text!r}")
+        return int(text) % self.p
 
     def elements(self):
         return iter(range(self.p))
@@ -333,18 +305,12 @@ _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 class _Rationals(Field):
     kind = "q"
+    name = "QQ"
+    tag = "q"
     order = None
 
     zero = Fraction(0)
     one = Fraction(1)
-
-    @property
-    def name(self) -> str:
-        return "QQ"
-
-    @property
-    def tag(self) -> str:
-        return "q"
 
     def add(self, a, b):
         return a + b
@@ -381,10 +347,6 @@ class _Rationals(Field):
             j += 1
 
     def coerce(self, x):
-        if isinstance(x, FieldElement):
-            if x.field != self:
-                raise FieldMismatchError(f"expected QQ, got {x.field.name}")
-            return x.value
         if isinstance(x, Fraction):
             return x
         if isinstance(x, int) and not isinstance(x, bool):
@@ -428,13 +390,11 @@ def field_from_tag(tag: str) -> Field:
     if tag == "q":
         return QQ
     if tag.startswith("gfp:"):
-        try:
-            p = int(tag[4:])
-        except ValueError:
+        if not re.fullmatch(r"[0-9]+", tag[4:]):
             raise FieldError(
                 f"field {tag!r} needs a decimal modulus (use gf2, gfp:<p> or q)"
-            ) from None
-        return GF(p)
+            )
+        return GF(int(tag[4:]))
     raise FieldError(f"unknown field {tag!r} (use gf2, gfp:<p> or q)")
 
 
@@ -451,87 +411,3 @@ def pack_bits(bits) -> int:
 
 def unpack_bits(mask: int, n: int) -> list[int]:
     return [(mask >> i) & 1 for i in range(n)]
-
-
-class FieldElement:
-    """One field scalar: a raw value plus the field it belongs to.
-
-    Immutable and hashable.  Arithmetic between elements of different
-    fields raises FieldMismatchError; plain ints (and Fractions over QQ)
-    are coerced through the field on the fly.
-    """
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: Field, value):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, *_):
-        raise AttributeError("FieldElement is immutable")
-
-    def _other(self, other):
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldMismatchError(
-                    f"cannot mix {self.field.name} and {other.field.name}"
-                )
-            return other.value
-        return self.field.coerce(other)
-
-    def __add__(self, other):
-        return FieldElement(self.field, self.field.add(self.value, self._other(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return FieldElement(self.field, self.field.sub(self.value, self._other(other)))
-
-    def __rsub__(self, other):
-        return FieldElement(self.field, self.field.sub(self._other(other), self.value))
-
-    def __mul__(self, other):
-        return FieldElement(self.field, self.field.mul(self.value, self._other(other)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return FieldElement(self.field, self.field.div(self.value, self._other(other)))
-
-    def __rtruediv__(self, other):
-        return FieldElement(self.field, self.field.div(self._other(other), self.value))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def inv(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.value))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.field.is_zero(self.value)
-
-    def __bool__(self) -> bool:
-        return not self.is_zero
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.value == other.value
-        try:
-            return self.value == self.field.coerce(other)
-        except FieldError:
-            return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.value))
-
-    def __str__(self) -> str:
-        return self.field.format(self.value)
-
-    def __repr__(self) -> str:
-        return f"{self.field.name}({self})"
-
-
-def parse_element(text: str, field: Field) -> FieldElement:
-    """Parse a single token into an element of the given field."""
-    return FieldElement(field, field.parse(text))

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -196,6 +197,18 @@ def test_analyze_q_rejects_fraction_extras(tmp_path, capsys, token, col):
     code, out, err = run_cli(capsys, "analyze", "--field", "q", "--input", str(p))
     assert code == 1 and out == ""
     assert err == f"{p}:1:{col}: rationals are written a or a/b, got {token!r}\n"
+
+
+@pytest.mark.parametrize(
+    "token", ["1_000", "\u0661", "\u0667\u0667"], ids=["separator", "arabic-1", "arabic-77"]
+)
+def test_analyze_gfp_rejects_int_extras(tmp_path, capsys, token):
+    # int() alone takes digit separators and non-ASCII digits
+    p = tmp_path / "in.txt"
+    p.write_text(f"1 {token} 2\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", "--field", "gfp:7", "--input", str(p))
+    assert code == 1 and out == ""
+    assert err == f"{p}:1:3: not an integer for GF(7): {token!r}\n"
 
 
 def test_analyze_checks_pass(tmp_path, capsys):
@@ -424,8 +437,8 @@ def test_analyze_usage_errors(capsys):
     assert code == 1
     code, _, err = run_cli(capsys, "analyze", "--field", "gf9:4", "--input", "-")
     assert code == 1
-    # a modulus that is not a decimal integer is named, with the accepted forms
-    for spec in ("gfp:x", "gfp:", "gfp:7.0"):
+    # a modulus that is not ASCII decimal digits is named, with the accepted forms
+    for spec in ("gfp:x", "gfp:", "gfp:7.0", "gfp:\u0667", "gfp:1_000_003", "gfp: 7"):
         code, out, err = run_cli(capsys, "analyze", "--field", spec, "--input", "-")
         assert code == 1 and out == ""
         assert f"'{spec}'" in err and "gf2, gfp:<p> or q" in err, spec
@@ -585,6 +598,24 @@ def test_console_entry_point_runs():
         text=True,
     )
     assert proc.returncode == 0 and "lambda: 3" in proc.stdout
+
+
+def test_closed_stdout_exits_1_without_traceback(tmp_path):
+    # 3,000 terms with --profile print about 136 KB, more than a pipe buffer
+    p = tmp_path / "in.txt"
+    rng = random.Random(3)
+    p.write_text(" ".join(str(rng.randrange(7)) for _ in range(3000)) + "\n")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "seqideal.cli", "analyze", "--field", "gfp:7",
+         "--input", str(p), "--profile"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"field: gfp:7\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 def test_unknown_command_exits_1(capsys):

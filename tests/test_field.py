@@ -10,16 +10,23 @@ from seqideal import (
     QQ,
     FieldError,
     FieldMismatchError,
+    Form,
     ParseError,
-    parse_element,
+    UniPoly,
 )
-from seqideal.field import PRIME_BOUND, _is_prime, pack_bits, unpack_bits
+from seqideal.field import (
+    PRIME_BOUND,
+    _is_prime,
+    field_from_tag,
+    pack_bits,
+    unpack_bits,
+)
 
 
 def test_gf2_characteristic_two():
     assert GF2.add(1, 1) == 0
     assert GF2.mul(1, 1) == 1
-    assert GF2.element(1) + GF2.element(1) == GF2.element(0)
+    assert GF2.add(GF2.coerce(1), GF2.coerce(1)) == GF2.coerce(0)
 
 
 def test_gf7_arithmetic():
@@ -32,8 +39,7 @@ def test_gf7_arithmetic():
 def test_rational_arithmetic():
     assert QQ.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
     assert QQ.inv(Fraction(-2, 3)) == Fraction(-3, 2)
-    a = QQ.element(Fraction(1, 2))
-    assert (a + Fraction(1, 3)).value == Fraction(5, 6)
+    assert QQ.add(QQ.coerce(Fraction(1, 2)), QQ.coerce(Fraction(1, 3))) == Fraction(5, 6)
 
 
 def test_inverse_of_zero_raises(any_field):
@@ -44,7 +50,7 @@ def test_inverse_of_zero_raises(any_field):
 def test_parse_examples():
     assert GF(5).parse("-1") == 4
     assert QQ.parse("1/2") == Fraction(1, 2)
-    assert parse_element("1/2", QQ).value == Fraction(1, 2)
+    assert QQ.parse("2/4") == Fraction(1, 2)
     with pytest.raises(ParseError):
         GF2.parse("2")
     with pytest.raises(ParseError):
@@ -65,6 +71,24 @@ def test_rationals_parse_only_a_or_a_over_b():
     for text in ("1e1000000", "1E3", "1_000", "1/-2", " 1", "1/", "/2", "\u0661", "inf", ""):
         with pytest.raises(ParseError, match="rationals are written a or a/b"):
             QQ.parse(text)
+
+
+def test_prime_field_parse_only_ascii_integers():
+    F = GF(7)
+    assert F.parse("+5") == 5 and F.parse("-1") == 6 and F.parse("0010") == 3
+    # int alone would also take the separator, the spaces and the
+    # Arabic-Indic digit one
+    for text in ("1_000", " 1", "1 ", "\u0661", "+", "-", "", "0x1", "1.0"):
+        with pytest.raises(ParseError, match="not an integer for GF\\(7\\)"):
+            F.parse(text)
+
+
+def test_field_from_tag_takes_only_ascii_moduli():
+    assert field_from_tag("gf2") is GF2 and field_from_tag("q") is QQ
+    assert field_from_tag("gfp:7") is GF(7) and field_from_tag("gfp:007") is GF(7)
+    for tag in ("gfp:\u0667", "gfp:1_000_003", "gfp: 7", "gfp:7 ", "gfp:+7", "gfp:-7"):
+        with pytest.raises(FieldError, match="needs a decimal modulus"):
+            field_from_tag(tag)
 
 
 def test_prime_check():
@@ -113,14 +137,15 @@ def test_field_identity():
 
 
 def test_mismatched_fields_raise():
-    a = GF(5).element(4)
-    b = GF(7).element(4)
+    # raw values carry no field, so the containers refuse to mix fields
+    a = Form(GF(5), [4])
+    b = Form(GF(7), [4])
     with pytest.raises(FieldMismatchError):
         a + b
     with pytest.raises(FieldMismatchError):
         a * b
     with pytest.raises(FieldMismatchError):
-        GF(7).coerce(a)
+        UniPoly(GF(5), [4]) * UniPoly(GF(7), [4])
 
 
 def test_gf2_coercion_is_strict():
@@ -132,13 +157,14 @@ def test_gf2_coercion_is_strict():
         QQ.coerce(0.5)  # no floats anywhere
 
 
-def test_element_wrapper_basics():
-    a = GF(7).element(3)
-    assert str(a) == "3"
-    assert a.inv() == GF(7).element(5)
-    assert (-a).value == 4
-    assert bool(a) and not bool(GF(7).element(0))
-    assert a != "junk"
+def test_raw_kernels_basics():
+    F = GF(7)
+    assert F.format(3) == "3"
+    assert F.inv(3) == 5
+    assert F.neg(3) == 4
+    assert not F.is_zero(3) and F.is_zero(0)
+    with pytest.raises(FieldError):
+        F.coerce("junk")
 
 
 def test_field_axioms_random(any_field):
