@@ -53,10 +53,6 @@ def _check_same_field(a: Field, b: Field):
         raise FieldMismatchError(f"cannot mix {a.name} and {b.name}")
 
 
-def _coerce_all(field: Field, values: Iterable) -> tuple:
-    return tuple(field.coerce(v) for v in values)
-
-
 def _fmt_term(field: Field, c, xe: int, ze: int) -> str:
     mono = ""
     if xe == 1:
@@ -98,7 +94,7 @@ class Form:
 
     def __init__(self, field: Field, coeffs: Iterable = ()):
         object.__setattr__(self, "field", field)
-        raw = _coerce_all(field, coeffs)
+        raw = tuple(field.coerce_all(coeffs))
         if raw and all(field.is_zero(c) for c in raw):
             raw = ()
         object.__setattr__(self, "coeffs", raw)
@@ -258,7 +254,7 @@ class InverseForm:
 
     def __init__(self, field: Field, seq: Iterable):
         object.__setattr__(self, "field", field)
-        raw = _coerce_all(field, seq)
+        raw = tuple(field.coerce_all(seq))
         if not raw:
             raise FieldError("an inverse form needs at least one coefficient")
         object.__setattr__(self, "seq", raw)
@@ -346,7 +342,7 @@ class UniPoly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: Field, coeffs: Iterable = ()):
-        self._set(field, list(_coerce_all(field, coeffs)))
+        self._set(field, field.coerce_all(coeffs))
 
     @classmethod
     def _raw(cls, field: Field, raw: list) -> "UniPoly":

@@ -23,13 +23,15 @@ import sys
 import time
 from dataclasses import dataclass
 from itertools import islice
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Optional, Union
 
 from .bivariate import Form, InverseForm, UniPoly, dehomogenize
 from .field import GF2, Field, FieldError, field_from_tag, pack_bits
 from .oracles import (
+    _least_degree,
     berlekamp_massey,
-    brute_force_min_poly,
     connection_equals,
     satisfies_recurrence,
 )
@@ -242,6 +244,72 @@ def build_report(
     )
 
 
+# json.dumps(obj, indent=2) runs CPython's pure-Python encoder, since the C
+# one only serves indent=None; this writer gives the same text for the
+# values the CLI emits, with C-level joins over whole lists and columns
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _scalar_text(v) -> str:
+    return _SCALARS[type(v)](v)
+
+
+def _scalars_text(values: list):
+    """The text of each of values when all are scalars, else None."""
+    kinds = set(map(type, values))
+    if not kinds <= _SCALARS.keys():
+        return None
+    return map(_SCALARS[kinds.pop()] if len(kinds) == 1 else _scalar_text, values)
+
+
+def _rows_text(rows: list, nl: str):
+    """The text of each row when the rows are flat dicts that share one
+    tuple of str keys (the profile), column by column; else None."""
+    keys = set(map(tuple, rows)) if set(map(type, rows)) == {dict} else ()
+    cols = keys.pop() if len(keys) == 1 else ()
+    if not cols or set(map(type, cols)) != {str}:
+        return None
+    columns = [_scalars_text(list(map(itemgetter(k), rows))) for k in cols]
+    if None in columns:
+        return None
+    inner = nl + "  "
+    # one str.format template per row, so braces in the keys are doubled
+    names = [encode_basestring_ascii(k).replace("{", "{{").replace("}", "}}") for k in cols]
+    row = "{{" + ",".join(f"{inner}{k}: {{{i}}}" for i, k in enumerate(names)) + nl + "}}"
+    return map(row.format, *columns)
+
+
+def _json_text(obj, nl: str = "\n") -> str:
+    """The text of json.dumps(obj, indent=2) for dicts with str keys,
+    lists, str, int, bool and None; any other type raises TypeError."""
+    kind = type(obj)
+    if kind in _SCALARS:
+        return _SCALARS[kind](obj)
+    inner = nl + "  "
+    if kind is dict:
+        if not set(map(type, obj)) <= {str}:
+            raise TypeError("keys must be str")
+        if not obj:
+            return "{}"
+        items = (
+            f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in obj.items()
+        )
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if kind is not list:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    if not obj:
+        return "[]"
+    texts = _scalars_text(obj) or _rows_text(obj, inner)
+    if texts is None:
+        texts = (_json_text(v, inner) for v in obj)
+    return "[" + inner + ("," + inner).join(texts) + nl + "]"
+
+
 # -- subcommands -------------------------------------------------------------
 
 
@@ -298,17 +366,18 @@ def cmd_analyze(args) -> int:
                 file=sys.stderr,
             )
             return 1
-        bf = brute_force_min_poly(seq, field)
-        # a witness is monic of degree lambda and satisfies the recurrence
+        # a witness is monic of degree lambda and satisfies the recurrence,
+        # so only the least feasible degree is needed, not the witness set
+        lam, _ = _least_degree(seq, field)
         mp = report.min_poly
-        ok = bf.lam == report.lam == mp.degree and mp.is_monic
+        ok = lam == report.lam == mp.degree and mp.is_monic
         ok = ok and satisfies_recurrence(mp, seq)
         print(f"oracle-check: {'ok' if ok else 'MISMATCH'}", file=sys.stderr)
         if not ok:
             status = 2
 
     if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
+        print(_json_text(report.to_dict()))
     else:
         print(report.render_text())
     return status
@@ -377,7 +446,7 @@ def cmd_rueppel(args) -> int:
             "f": _poly_dict(GF2, vop.f.coeffs),
             "checks": {name: ok for name, ok in checks},
         }
-        print(json.dumps(out, indent=2))
+        print(_json_text(out))
     else:
         print(f"n: {args.n}")
         print(f"lambda: {lam}")

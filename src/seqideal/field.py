@@ -8,12 +8,14 @@ denominator) for the rationals.  All arithmetic is exact; floating point
 is never used anywhere in this package.
 
 A :class:`Field` instance owns the arithmetic on raw values (``add``,
-``mul``, ``inv``, ...) plus two vector kernels (:meth:`Field.dot` and
-:meth:`Field.submul_at`) that the synthesis engine calls in its inner
-loops.  Raw values are the only scalar representation: containers
-elsewhere in the package (forms, sequences, polynomials) store them,
-use the kernels directly and hand them back, and refuse to combine
-containers over different fields with :class:`FieldMismatchError`.
+``mul``, ``inv``, ...) plus three vector kernels: :meth:`Field.dot` and
+:meth:`Field.submul_at`, which the synthesis engine calls in its inner
+loops, and :meth:`Field.coerce_all`, which validates a whole sequence
+where it enters a container or an oracle.  Raw values are the only
+scalar representation: containers elsewhere in the package (forms,
+sequences, polynomials) store them, use the kernels directly and hand
+them back, and refuse to combine containers over different fields with
+:class:`FieldMismatchError`.
 
 Parsing is deliberately asymmetric.  GF(2) accepts only the literal
 tokens ``0`` and ``1``: a stray ``2`` in a keystream is a data error, not
@@ -152,6 +154,11 @@ class Field:
         """In place dst[offset + i] -= q * src[i] for all i."""
         raise NotImplementedError
 
+    def coerce_all(self, values) -> list:
+        """A new list of :meth:`coerce` applied to each of values, in
+        order; the first bad value raises coerce's error."""
+        return [self.coerce(x) for x in values]
+
     # -- conversions -----------------------------------------------------
 
     def coerce(self, x):
@@ -218,6 +225,12 @@ class _GF2(Field):
             if s:
                 dst[j] ^= 1
             j += 1
+
+    def coerce_all(self, values) -> list:
+        xs = list(values)
+        if set(map(type, xs)) <= {int, bool} and set(xs) <= {0, 1}:
+            return list(map(int, xs))
+        return super().coerce_all(xs)  # raises at the first bad value
 
     def coerce(self, x):
         if isinstance(x, bool):

@@ -51,7 +51,7 @@ def berlekamp_massey(seq: Sequence, field: Field) -> BMResult:
     gamma_0 s_j + ... + gamma_L s_(j-L) = 0 for L <= j <= n - 1.
     Over GF(2) the registers are bit-packed ints.
     """
-    s = [field.coerce(a) for a in seq]
+    s = field.coerce_all(seq)
     if field == GF2:
         return _berlekamp_massey_packed(s)
     return _berlekamp_massey_lists(s, field)
@@ -202,25 +202,32 @@ def brute_force_min_poly(
     polynomial of degree n is a witness).  Cost grows quickly, hence the
     length guard.
     """
-    s = [field.coerce(a) for a in seq]
+    s = field.coerce_all(seq)
     n = len(s)
     if n > max_len:
         raise FieldError(f"brute force is limited to length {max_len}, got {n}")
+    l, (particular, basis) = _least_degree(s, field)
+    if not basis:
+        pts = [particular]
+    elif not field.is_finite or field.order ** len(basis) > WITNESS_ENUMERATE_CAP:
+        return BruteForceResult(l, None)
+    else:
+        pts = _span(field, particular, basis)
+    polys = frozenset(UniPoly(field, p + [field.one]) for p in pts)
+    return BruteForceResult(l, polys)
+
+
+def _least_degree(s: list, field: Field) -> tuple:
+    """The least degree l whose recurrence system over the raw terms s
+    is feasible, with its solution (particular, basis) from
+    :func:`_solve_affine`; l is the linear complexity."""
+    n = len(s)
     for l in range(n + 1):
         rows = [[s[k + i] for i in range(l)] for k in range(n - l)]
         rhs = [field.neg(s[k + l]) for k in range(n - l)]
         sol = _solve_affine(field, rows, rhs, l)
-        if sol is None:
-            continue
-        particular, basis = sol
-        if not basis:
-            pts = [particular]
-        elif not field.is_finite or field.order ** len(basis) > WITNESS_ENUMERATE_CAP:
-            return BruteForceResult(l, None)
-        else:
-            pts = _span(field, particular, basis)
-        polys = frozenset(UniPoly(field, p + [field.one]) for p in pts)
-        return BruteForceResult(l, polys)
+        if sol is not None:
+            return l, sol
     raise AssertionError("unreachable: degree n is always feasible")
 
 
@@ -229,7 +236,7 @@ def satisfies_recurrence(c: UniPoly, seq: Sequence) -> bool:
     l = deg c: a monic c of degree lambda is then a minimal polynomial,
     one of :func:`brute_force_min_poly`'s witnesses."""
     field = c.field
-    s = [field.coerce(a) for a in seq]
+    s = field.coerce_all(seq)
     l = c.degree
     return all(
         field.is_zero(field.dot(c.coeffs, s[k : k + l + 1])) for k in range(len(s) - l)
@@ -258,7 +265,7 @@ def dai_ea(k: int, seq: Sequence, field: Field) -> EAResult:
     """
     if k < 1:
         raise FieldError("need k >= 1")
-    s = [field.coerce(a) for a in seq]
+    s = field.coerce_all(seq)
     if len(s) != 2 * k:
         raise FieldError(f"need exactly {2 * k} terms, got {len(s)}")
     if field == GF2:

@@ -288,17 +288,26 @@ def quad_ext_identity(k: int) -> bool:
     return _eta_certifies(k, _eta(k), f_mask)
 
 
+def _eta_ladder():
+    """_eta(k) for k = 1, 2, ..., from the ladders u = (1 + rho) rho^k and
+    v = (1 + rho^-1) rho^-k, each step in closed form:
+    (a + b rho) rho = b + (a + x b) rho and
+    (a + b rho)(x + rho) = (x a + b) + a rho."""
+    (ua, ub), (va, vb) = ONE_PLUS_RHO, ONE_PLUS_RHO_INV
+    while True:
+        ua, ub = ub, ua ^ (ub << 1)
+        va, vb = (va << 1) ^ vb, va
+        yield QuadExt(ua ^ va, ub ^ vb)
+
+
 def quad_ext_sweep(max_k: int) -> bool:
     """Run the identity for every k up to max_k, sharing the power
-    ladder (one multiplication by rho and rho^-1 per step)."""
+    ladders of :func:`_eta_ladder` (two shifts and four XORs per step)."""
     if max_k < 1:
         raise FieldError("need max_k >= 1")
-    rk = QuadExt(1, 0)
-    rmk = QuadExt(1, 0)
     even_prefixes = islice(_ralg_pairs(2 * max_k), 1, None, 2)  # 2k bits in
-    for k, (f_mask, _, _, _) in zip(range(1, max_k + 1), even_prefixes):
-        rk = rk * RHO
-        rmk = rmk * RHO_INV
-        if not _eta_certifies(k, ONE_PLUS_RHO * rk + ONE_PLUS_RHO_INV * rmk, f_mask):
+    steps = zip(range(1, max_k + 1), _eta_ladder(), even_prefixes)
+    for k, eta, (f_mask, _, _, _) in steps:
+        if not _eta_certifies(k, eta, f_mask):
             return False
     return True

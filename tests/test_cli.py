@@ -11,17 +11,20 @@ import pytest
 from hypothesis import example, given, settings, strategies
 
 from seqideal.cli import (
+    VERIFY_CHECKS,
     AnalysisReport,
     CliParseError,
+    _json_text,
     build_report,
     fit_loglog_slope,
     main,
     parse_sequence_text,
 )
 from seqideal import GF, GF2, QQ, EngineError, FieldError
-from seqideal.oracles import BMResult, BruteForceResult
+from seqideal.oracles import BMResult
 from seqideal.bivariate import UniPoly
-from seqideal.field import PRIME_BOUND
+from seqideal.field import PRIME_BOUND, field_from_tag
+from seqideal.rueppel import ralg
 from seqideal.vop_engine import THETA_ENUMERATE_CAP
 from tests.conftest import FIELD_VALUES, FITZ, value_runs
 
@@ -153,6 +156,79 @@ def test_report_dict_round_trip_property(tag):
     check()
 
 
+# -- the indented JSON writer --------------------------------------------------
+
+_JSON_TEXT = strategies.text(
+    strategies.characters() | strategies.sampled_from('{}"\\\x00\ud800\udfffé€'), max_size=6
+)
+_JSON_SCALARS = strategies.none() | strategies.booleans() | strategies.integers() | _JSON_TEXT
+
+
+@strategies.composite
+def _same_key_rows(draw):
+    # the profile's shape: flat dicts over one key tuple, mixed columns;
+    # a nested value now and then takes the writer off its column path
+    keys = draw(strategies.lists(_JSON_TEXT, max_size=4, unique=True))
+    cell = _JSON_SCALARS | strategies.lists(_JSON_SCALARS, max_size=2)
+    rows = draw(strategies.integers(1, 5))
+    return [{k: draw(cell) for k in keys} for _ in range(rows)]
+
+
+_JSON_VALUES = strategies.recursive(
+    _JSON_SCALARS
+    | strategies.lists(strategies.booleans() | strategies.integers(0, 2))
+    | strategies.lists(_JSON_TEXT)
+    | _same_key_rows(),
+    lambda inner: strategies.lists(inner, max_size=4)
+    | strategies.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=_JSON_VALUES)
+@example(value={"": [], "{0}": {}, '"}{"': [[], {}]})
+@example(value=[{"k": 0, "delta": None, "d": True}, {"k": 1, "delta": "1", "d": -2}])
+@example(value=[{"{0}": 1, '"}': None}, {"{0}": "{1}", '"}': False}])
+@example(value=[1, True, 0, False, "\ud800é"])
+def test_json_text_is_indented_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value", [1.5, (1,), {1: 2}, {"a": [1.5]}, [{"a": 1}, {"a": b"x"}], {None}]
+)
+def test_json_text_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        _json_text(value)
+
+
+@pytest.mark.parametrize("profile", [False, True], ids=["plain", "profile"])
+@pytest.mark.parametrize("tag", ["gf2", "gfp:7", "q"])
+def test_analyze_json_is_indented_json_dumps(tmp_path, capsys, tag, profile):
+    field = field_from_tag(tag)
+    rng = random.Random(5)
+    fitz = [v % 2 for v in FITZ] if field == GF2 else FITZ
+    flags = ("--json", "--profile") if profile else ("--json",)
+    for seq in ([field.coerce(v) for v in fitz], [field.random(rng) for _ in range(300)]):
+        p = tmp_path / "in.txt"
+        p.write_text(" ".join(map(field.format, seq)) + "\n")
+        got = run_cli(capsys, "analyze", "--field", tag, "--input", str(p), *flags)
+        want = json.dumps(build_report(field, seq, profile).to_dict(), indent=2)
+        assert got == (0, want + "\n", "")
+
+
+def test_rueppel_json_is_indented_json_dumps(capsys):
+    got = run_cli(capsys, "rueppel", "--n", "64", "--verify", "all", "--json")
+    want = {
+        "n": 64,
+        "lambda": 32,
+        "f": {"degree": 32, "coeffs": [str(c) for c in ralg(64).f.coeffs]},
+        "checks": dict.fromkeys(VERIFY_CHECKS, True),
+    }
+    assert got == (0, json.dumps(want, indent=2) + "\n", "")
+
+
 def test_analyze_degenerate_input(capsys, monkeypatch, tmp_path):
     p = tmp_path / "zeros.txt"
     p.write_text("0 0 0 0\n")
@@ -236,7 +312,10 @@ def test_analyze_check_bm_mismatch_exits_2(tmp_path, capsys, monkeypatch):
     assert code == 2 and "MISMATCH" in err
 
 
-@pytest.mark.parametrize("tag, text", [("gfp:2147483647", "0 1"), ("gfp:7", "0 " * 9 + "1")])
+@pytest.mark.parametrize(
+    "tag, text",
+    [("gfp:2147483647", "0 1"), ("gfp:7", "0 " * 9 + "1"), ("gf2", "0 " * 15 + "1")],
+)
 def test_analyze_check_oracle_does_not_enumerate(tmp_path, capsys, monkeypatch, tag, text):
     # lambda = n here, so the witnesses are every monic polynomial of
     # degree n: p^n of them, which the oracle must not list
@@ -260,10 +339,8 @@ def test_analyze_check_oracle_mismatch_exits_2(tmp_path, capsys, monkeypatch):
     p = tmp_path / "in.txt"
     p.write_text("1 1 0 1\n")
     run = ("analyze", "--field", "gf2", "--input", str(p), "--check-oracle")
-    # a wrong linear complexity from the oracle
-    monkeypatch.setattr(
-        cli_mod, "brute_force_min_poly", lambda seq, field: BruteForceResult(99, None)
-    )
+    # a wrong linear complexity from the oracle's degree search
+    monkeypatch.setattr(cli_mod, "_least_degree", lambda seq, field: (99, None))
     code, _, err = run_cli(capsys, *run)
     assert code == 2 and "oracle-check: MISMATCH" in err
     # the right one, but a minimal polynomial that breaks the recurrence

@@ -201,6 +201,38 @@ def test_dot_and_submul_match_generic(any_field):
         assert got == want
 
 
+@pytest.mark.parametrize(
+    "values",
+    [
+        [],
+        [0, 1, 1, 0],
+        [True, False, 1],
+        [1, 2, 0],
+        [0, -1, 1],
+        [1, 1.0],
+        [0, "1"],
+        [Fraction(1), 0],
+        [True, Fraction(3, 2), "x"],
+    ],
+    ids=repr,
+)
+def test_coerce_all_matches_the_per_element_loop(any_field, values):
+    # the same values, types and first error as coerce on each value
+    try:
+        want = [any_field.coerce(x) for x in values]
+    except FieldError as e:
+        with pytest.raises(FieldError) as got:
+            any_field.coerce_all(values)
+        assert str(got.value) == str(e)
+        with pytest.raises(FieldError) as got:
+            any_field.coerce_all(x for x in values)
+        assert str(got.value) == str(e)
+        return
+    for got in (any_field.coerce_all(values), any_field.coerce_all(iter(values))):
+        assert got == want and list(map(type, got)) == list(map(type, want))
+        assert type(got) is list and got is not values
+
+
 def test_gf2_bit_packing_round_trip():
     rng = random.Random(7)
     for _ in range(1000):

@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import pytest
 
@@ -240,6 +241,17 @@ def test_quad_ext_identity_small():
         assert not _eta_certifies(k, _eta(k) + RHO, f_mask)
     with pytest.raises(FieldError):
         quad_ext_identity(0)
+
+
+def test_eta_ladder_matches_the_ring_products():
+    from seqideal.rueppel import _eta, _eta_certifies, _eta_ladder
+
+    ladder = list(islice(_eta_ladder(), 64))
+    assert ladder == [_eta(k) for k in range(1, 65)]
+    for k, eta in enumerate(ladder, start=1):
+        f_mask = pack_bits(ralg(2 * k).f.coeffs)
+        assert _eta_certifies(k, eta, f_mask)
+        assert not _eta_certifies(k, eta, f_mask ^ 1)
 
 
 def test_bm_matches_ralg_on_even_prefixes():
