@@ -350,7 +350,8 @@ def connection_equals(bm: BMResult, c: UniPoly) -> bool:
     gamma_0 = 1 as c's leading coefficient, so monic c compares exactly.
     """
     field = bm.gamma.field
-    if c.degree != bm.L:
+    if c.field != field or c.degree != bm.L:
         return False
-    padded = [bm.gamma.coeff(i) for i in range(bm.L + 1)]
-    return UniPoly(field, list(reversed(padded))) == c
+    padded = list(bm.gamma.coeffs)
+    padded += [field.zero] * (bm.L + 1 - len(padded))
+    return tuple(reversed(padded)) == c.coeffs

@@ -24,9 +24,9 @@ Over GF(2), ``synthesize_packed`` runs the same construction on
 bit-packed forms (a :func:`~seqideal.field.pack_bits` mask and a total
 degree, read back by :func:`packed_form`; the Rueppel loops use the same
 format): a discrepancy is the parity of an AND and an update is an XOR
-of shifted ints.  Over QQ, ``synthesize_rational`` runs it fraction-free,
-on integer numerators over one denominator per form, which pays one
-reduction per step instead of one per coefficient operation.  Both
+of shifted ints.  Over QQ, ``synthesize_rational`` runs it fraction-free
+on primitive integer forms over their leading entries, with integer
+pivots as multipliers and one divmod pass per step for the content.  Both
 return exactly what ``synthesize`` returns, which stays the generic
 engine and the reference for them; ``linear_complexity`` and
 ``minimal_polynomial`` pick the engine from the field.
@@ -434,22 +434,39 @@ def synthesize_packed(F: InverseForm, basis: Optional[tuple[Form, Form]] = None)
     return VOP(packed_form(f, fdeg), packed_form(g, gdeg)), profile
 
 
+def _primitive(v: list) -> list:
+    """The integer vector v (v[-1] nonzero) divided by its content, in one
+    divmod pass: an entry the candidate content does not divide shrinks
+    it by one gcd and rescales the quotients so far by the ratio."""
+    c = gcd(v[-1], v[0], v[len(v) // 2])
+    out = []
+    for i, x in enumerate(v):
+        if c == 1:
+            return out + v[i:]
+        q, r = divmod(x, c)
+        if r:
+            c2 = gcd(c, r)
+            out = [y * (c // c2) for y in out]
+            q, c = x // c2, c2
+        out.append(q)
+    return out
+
+
 def synthesize_rational(F: InverseForm):
     """:func:`synthesize` over QQ, fraction-free; returns the same
     (vop, profile), with equal reduced fractions in f, g and every
     profile delta.
 
-    f is kept as integer numerators over one positive denominator, and g
-    the same way; the sequence is scaled once to integers by the lcm L
-    of its denominators.  A discrepancy is then an integer dot product
-    over D_f * L, reduced once per step, and the update f - q x^k g
-    brings both sides to the common denominator lcm(D_f, b * D_g) for
-    q = a / b and divides out the content of the result.  f stays monic,
-    so its top numerator is its denominator: that content is the full
-    one, and the numerators stay as small as reduced fractions would
-    need.  The branches are those of :meth:`VOPState.advance` with the
-    standard basis; there is no trace, custom basis or streaming here,
-    and no per-step debug checks.
+    The sequence is scaled to integers s by the lcm L of its
+    denominators.  f is the primitive integer vector fn over fn[-1] (f is
+    monic), which holds the numerators of f's reduced fractions up to
+    sign; g is gn over gn[-1], with the integer pivot eg met when g was
+    f.  A discrepancy is the integer dot ef of fn with a window of s, and
+    the update f - (delta / delta') x^k g is, up to a scalar,
+    eg x^max(d,0) fn - ef x^max(-d,0) gn, made primitive by
+    :func:`_primitive`.  The branches are those of
+    :meth:`VOPState.advance` with the standard basis; there is no trace,
+    custom basis or streaming here, and no per-step debug checks.
     """
     if F.field != QQ:
         raise EngineError(f"the rational engine needs QQ, got {F.field.name}")
@@ -461,39 +478,25 @@ def synthesize_rational(F: InverseForm):
         return _degenerate_vop(QQ, n), profile
     L = lcm(*(a.denominator for a in seq))
     s = [a.numerator * (L // a.denominator) for a in seq]
-    # f = fn / fden and g = gn / gden, numerators by x-exponent; the
-    # basis is (x^(1+t0), z) with the first nonzero term as the pivot
-    fn, fden = [0] * (t0 + 1) + [1], 1
-    gn, gden, gdeg, d, dp = [1], 1, 1, -t0, seq[t0]
+    # the basis is (x^(1+t0), z), and g's pivot is the first nonzero term
+    fn = [0] * (t0 + 1) + [1]
+    gn, eg, gdeg, d = [1], s[t0], 1, -t0
     for t in range(t0 + 1, n):
         fdeg = len(fn) - 1
-        dot = sum(map(mul, fn, s[t - fdeg : t + 1]))
-        delta = Fraction(dot, fden * L)
-        profile.append(ProfileEntry(t - 1, fdeg, delta, d))
-        if dot:
-            q = delta / dp
-            bg = q.denominator * gden
-            den = fden // gcd(fden, bg) * bg
-            sf, sg = den // fden, q.numerator * (den // bg)
-            new = [0] * max(d, 0) + [c * sf for c in fn]
-            for i, c in enumerate(gn, max(-d, 0)):
-                new[i] -= sg * c
+        ef = sum(map(mul, fn, s[t - fdeg : t + 1]))
+        profile.append(ProfileEntry(t - 1, fdeg, Fraction(ef, L * fn[-1]), d))
+        if ef:
+            new = [0] * max(d, 0) + [eg * c for c in fn]
+            k = max(-d, 0)
+            new[k : k + len(gn)] = [x - ef * c for x, c in zip(new[k:], gn)]
             if d > 0:
-                gn, gden, gdeg, dp, d = fn, fden, fdeg, delta, -d
-            content = den
-            for c in new:
-                content = gcd(content, c)
-                if content == 1:
-                    break
-            else:
-                new = [c // content for c in new]
-                den //= content
-            fn, fden = new, den
+                gn, eg, gdeg, d = fn, ef, fdeg, -d
+            fn = _primitive(new)
         gdeg += 1
         d += 1
     profile.append(ProfileEntry(n - 1, len(fn) - 1, None, d))
-    f = Form(QQ, [Fraction(c, fden) for c in fn])
-    g = Form(QQ, [Fraction(c, gden) for c in gn] + [QQ.zero] * (gdeg + 1 - len(gn)))
+    f = Form(QQ, [Fraction(c, fn[-1]) for c in fn])
+    g = Form(QQ, [Fraction(c, gn[-1]) for c in gn] + [QQ.zero] * (gdeg + 1 - len(gn)))
     return VOP(f, g), profile
 
 

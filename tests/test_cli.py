@@ -398,6 +398,37 @@ def test_q_reports_use_the_rational_engine(monkeypatch):
     _check_fast_engine(monkeypatch, QQ, FITZ, "synthesize_rational", wrong_delta)
 
 
+def test_q_analyze_passes_the_debug_cross_check(tmp_path, capsys, monkeypatch):
+    import seqideal.vop_engine as engine_mod
+
+    # 32 terms a/b with |a| <= 9 and 1 <= b <= 9, the shape of the
+    # q-analyze benchmark input
+    rng = random.Random(32)
+    p = tmp_path / "in.txt"
+    p.write_text(" ".join(f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}" for _ in range(32)) + "\n")
+    argv = ("analyze", "--field", "q", "--input", str(p), "--json", "--profile")
+    want = run_cli(capsys, *argv)
+    assert want[0] == 0
+    calls = []
+
+    def spy(name):
+        engine = getattr(engine_mod, name)
+
+        def counted(F):
+            calls.append(name)
+            return engine(F)
+
+        monkeypatch.setattr(engine_mod, name, counted)
+
+    spy("synthesize")
+    spy("synthesize_rational")
+    # with debug asserts on, the rational engine's report is checked
+    # against synthesize, and the output stays the same
+    monkeypatch.setenv("SEQIDEAL_DEBUG_ASSERTS", "1")
+    assert run_cli(capsys, *argv) == want
+    assert calls == ["synthesize_rational", "synthesize"]
+
+
 def test_gf2_check_bm_runs_the_packed_bm(tmp_path, capsys, monkeypatch):
     import random
 

@@ -1,6 +1,8 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies
@@ -28,7 +30,7 @@ from seqideal import (
     synthesize_trace,
 )
 from seqideal.field import unpack_bits
-from seqideal.vop_engine import synthesize_packed, synthesize_rational
+from seqideal.vop_engine import _primitive, synthesize_packed, synthesize_rational
 from seqideal.rueppel import rueppel_basis, rueppel_inverse_form, synthesize_rueppel
 from tests.conftest import FIELD_VALUES, FIRST8_TABLE, FITZ, FITZ_TABLE, value_runs
 
@@ -305,6 +307,9 @@ def _seeded_rational_inputs():
         yield [0] * n
     yield [Fraction(10**30, 7)] * 12
     yield [1, 0, 0, 0, 0, 0, 0, 0, 0, Fraction(-10**30, 7)]
+    # 192 terms a/b with |a| <= 9 and 1 <= b <= 9, the shape of the
+    # q-analyze benchmark input
+    yield [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(192)]
 
 
 def test_rational_engine_matches_generic_on_seeded_inputs():
@@ -323,10 +328,40 @@ _rationals = strategies.one_of(
 )
 
 
+_small_ratios = strategies.builds(
+    Fraction,
+    strategies.integers(-5, 5).filter(bool),
+    strategies.integers(1, 5),
+)
+
+# sequences whose profile is not perfect: a periodic block or a
+# geometric run c * r^k keeps lambda small for a while, and the tail that
+# breaks the pattern then forces a long jump, so the runs have d < 0 and
+# repeated length changes
+_structured_rationals = strategies.one_of(
+    strategies.builds(
+        lambda block, reps, tail: block * reps + tail,
+        strategies.lists(_rationals, min_size=1, max_size=6),
+        strategies.integers(2, 10),
+        strategies.lists(_rationals, max_size=6),
+    ),
+    strategies.builds(
+        lambda c, r, n, tail: [c * r**k for k in range(n)] + tail,
+        _small_ratios,
+        _small_ratios,
+        strategies.integers(1, 40),
+        strategies.lists(_rationals, max_size=8),
+    ),
+)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     zeros=strategies.integers(0, 8),
-    terms=strategies.lists(_rationals, min_size=1, max_size=64),
+    terms=strategies.one_of(
+        strategies.lists(_rationals, min_size=1, max_size=64),
+        _structured_rationals,
+    ),
 )
 @example(zeros=8, terms=[Fraction(0)])
 def test_rational_engine_matches_generic_property(zeros, terms):
@@ -343,6 +378,35 @@ def test_rational_engine_reproduces_the_frozen_example():
         assert (e.k, e.d, e.delta) == (k - 1, d, delta)
     assert (str(vop.f), str(vop.g)) == FITZ_TABLE[-1][4:]
     assert str(dehomogenize(vop.f)) == "x^5+x-1"
+
+
+@pytest.mark.parametrize(
+    "v",
+    [
+        [3, -4, 5, 7],  # content 1
+        [-6, -10, -14, -4],  # all negative
+        [-84],  # a single entry
+        [0, 0, 12, 0, 18],  # zeros, and a candidate equal to the content
+        # the candidate gcd(42, 42, 462) = 42 fails on the second entry,
+        # so the quotients are rescaled to the content 6
+        [6 * 7, 6 * 5, 6 * 7 * 11, 6 * 7],
+        [2**200 * 3 * 5, 2**200 * 3 * 7, 2**200 * 5 * 7, 2**200 * 3 * 5],
+    ],
+)
+def test_primitive_divides_out_the_content(v):
+    content = functools.reduce(gcd, v, 0)
+    assert _primitive(list(v)) == [x // content for x in v]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    v=strategies.lists(strategies.integers(-10**6, 10**6), min_size=1, max_size=12),
+    scale=strategies.integers(1, 10**20),
+)
+def test_primitive_divides_out_the_content_property(v, scale):
+    v = [x * scale for x in v[:-1]] + [(v[-1] or 1) * scale]
+    content = functools.reduce(gcd, v, 0)
+    assert _primitive(list(v)) == [x // content for x in v]
 
 
 @pytest.mark.parametrize("field", [GF2, GF(5)])
