@@ -28,9 +28,11 @@ from operator import itemgetter
 from typing import Optional, Union
 
 from .bivariate import Form, InverseForm, UniPoly, dehomogenize
-from .field import GF2, Field, FieldError, field_from_tag, pack_bits
+from .field import GF2, Field, FieldError, field_from_tag
 from .oracles import (
+    _dai_cascade,
     _least_degree,
+    _packed,
     berlekamp_massey,
     connection_equals,
     satisfies_recurrence,
@@ -50,13 +52,14 @@ from .vop_engine import (
     _synthesize_fast,
     is_plcp,
     minimal_leading_forms,
+    packed_form,
     random_plcp_sequence,
     synthesize,
     synthesize_packed,
 )
 
 ORACLE_LENGTH_BOUND = 16
-DAI_VERIFY_CAP = 256  # one division cascade per k; the cap keeps the dai check's cost fixed
+DAI_VERIFY_CAP = 256  # one cascade per k, each on the top 2k bits of one packed prefix
 
 
 class CliParseError(Exception):
@@ -385,12 +388,12 @@ def cmd_analyze(args) -> int:
 
 def _verify_one(check: str, n: int) -> bool:
     if check == "closed-form":
-        l = 1
-        ok = True
-        while 2 * l <= n:
-            ok = ok and ralg(2 * l).f == closed_form(l)
-            l <<= 1
-        return ok
+        # f after m = 2l bits for every power of two l, all from one sweep
+        return all(
+            packed_form(f_mask, f_deg) == closed_form(m // 2)
+            for m, (f_mask, f_deg, _, _) in enumerate(_ralg_pairs(n), 1)
+            if m > 1 and not m & (m - 1)
+        )
     if check == "delta":
         return True if n < 2 else delta_parity_check(n)
     if check == "matrix":
@@ -398,20 +401,13 @@ def _verify_one(check: str, n: int) -> bool:
     if check == "quadext":
         return True if n < 2 else quad_ext_sweep(n // 2)
     if check == "dai":
-        from .oracles import dai_ea
-
-        x_plus_1 = UniPoly(GF2, [1, 1])
-        x_only = UniPoly(GF2, [0, 1])
+        # quotients x + 1, x, ..., x; c = f(x, 1), which is f's mask after 2k bits
         max_k = min(n // 2, DAI_VERIFY_CAP)
-        seq = rueppel_sequence(2 * max_k) if max_k else []
-        # the pair after 2k bits; f(x, 1) has the coefficients of f's mask
+        s = _packed(rueppel_sequence(2 * max_k)) if max_k else 0
         even_prefixes = islice(_ralg_pairs(2 * max_k), 1, None, 2)
-        for k, (f_mask, _, _, _) in zip(range(1, max_k + 1), even_prefixes):
-            ea = dai_ea(k, seq[: 2 * k], GF2)
-            want_q = [x_plus_1] + [x_only] * (k - 1)
-            if list(ea.quotients) != want_q:
-                return False
-            if pack_bits(ea.c.coeffs) != f_mask:
+        for k, (f_mask, _, _, _) in enumerate(even_prefixes, 1):
+            c_mask, quotients, _ = _dai_cascade(k, s >> 2 * (max_k - k))
+            if quotients != (0b11,) + (0b10,) * (k - 1) or c_mask != f_mask:
                 return False
         return True
     raise ValueError(f"unknown check {check!r}")

@@ -292,19 +292,24 @@ def _dai_ea_lists(k: int, s: list, field: Field) -> EAResult:
 
 
 def _dai_ea_packed(k: int, s: list) -> EAResult:
-    """The cascade over GF(2) on ints, bit i the coefficient of x^i.
+    """:func:`_dai_cascade` with its masks made UniPolys, one per distinct quotient."""
+    c_mask, quotients, degrees = _dai_cascade(k, _packed(s))
+    polys = {q: _unpacked(q) for q in set(quotients)}  # immutable, so shared
+    return EAResult(_unpacked(c_mask), tuple(polys[q] for q in quotients), degrees)
 
-    Each step of the long division XORs the divisor shifted by the
-    quotient bit's degree into the remainder, and the convergent shifted
-    by the same amount into the next convergent, so q c_cur is never
-    formed.  UniPolys are built once at the end, one per distinct
-    quotient.
+
+def _dai_cascade(k: int, r: int) -> tuple:
+    """The GF(2) cascade on ints, bit i the coefficient of x^i: c, the
+    quotients and the remainder degrees for the 2k-term prefix r, laid out
+    by :func:`_packed` with s_0 at bit 2k - 1.  A longer packed prefix
+    shifted right by twice the surplus terms is r, so one packing feeds
+    every k.  Each long-division step XORs the divisor, shifted by the
+    quotient bit's degree, into the remainder and the convergent, shifted
+    the same, into the next convergent, so q c_cur is never formed.
     """
-    r_prev = 1 << (2 * k)
-    r_cur = _packed(s)  # s_0 at bit 2k - 1
+    r_prev, r_cur = 1 << (2 * k), r
     c_prev, c_cur = 0, 1
-    quotients = []
-    degrees = []
+    quotients, degrees = [], []
     while r_cur.bit_length() > k:  # nonzero with degree >= k
         db = r_cur.bit_length()
         quot, rem, c_next = 0, r_prev, c_prev
@@ -317,8 +322,7 @@ def _dai_ea_packed(k: int, s: list) -> EAResult:
         r_prev, r_cur = r_cur, rem
         quotients.append(quot)
         degrees.append(rem.bit_length() - 1)
-    polys = {q: _unpacked(q) for q in set(quotients)}  # immutable, so shared
-    return EAResult(_unpacked(c_cur), tuple(polys[q] for q in quotients), tuple(degrees))
+    return c_cur, tuple(quotients), tuple(degrees)
 
 
 def _packed(s: list) -> int:

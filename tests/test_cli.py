@@ -10,11 +10,13 @@ import tempfile
 import pytest
 from hypothesis import example, given, settings, strategies
 
+from seqideal import cli, rueppel
 from seqideal.cli import (
     VERIFY_CHECKS,
     AnalysisReport,
     CliParseError,
     _json_text,
+    _verify_one,
     build_report,
     fit_loglog_slope,
     main,
@@ -23,9 +25,9 @@ from seqideal.cli import (
 from seqideal import GF, GF2, QQ, EngineError, FieldError
 from seqideal.oracles import BMResult
 from seqideal.bivariate import UniPoly
-from seqideal.field import PRIME_BOUND, field_from_tag
-from seqideal.rueppel import ralg
-from seqideal.vop_engine import THETA_ENUMERATE_CAP
+from seqideal.field import PRIME_BOUND, field_from_tag, pack_bits
+from seqideal.rueppel import QuadExt, ralg
+from seqideal.vop_engine import THETA_ENUMERATE_CAP, VOP, packed_form
 from tests.conftest import FIELD_VALUES, FITZ, value_runs
 
 FITZ_TEXT = "1 0 0 0 -1\n1 0 0 1 -2\n"
@@ -586,6 +588,105 @@ def test_rueppel_verify_jobs(capsys):
         capsys, "rueppel", "--n", "24", "--verify", "all", "--jobs", "2"
     )
     assert code == 0 and out.count(": pass") == 5
+
+
+def _flip_dai_quotient(real):
+    def cascade(k, r):  # the last quotient at the largest k of an n=40 run
+        c, quotients, degrees = real(k, r)
+        if k == 20:
+            quotients = quotients[:-1] + (quotients[-1] ^ 1,)
+        return c, quotients, degrees
+
+    return cascade
+
+
+def _flip_dai_c(real):
+    def cascade(k, r):
+        c, quotients, degrees = real(k, r)
+        return (c ^ 1 if k == 20 else c), quotients, degrees
+
+    return cascade
+
+
+def _flip_constant_term(form):
+    return packed_form(pack_bits(form.coeffs) ^ 1, form.degree)
+
+
+def _flip_closed_form(real):
+    def closed_form(l):  # the largest l with 2l <= 40
+        return _flip_constant_term(real(l)) if l == 16 else real(l)
+
+    return closed_form
+
+
+def _flip_matrix(real):
+    def matrix_recurrence(n):
+        vop = real(n)
+        return VOP(_flip_constant_term(vop.f), vop.g)
+
+    return matrix_recurrence
+
+
+def _flip_eta(real):
+    def eta_ladder():  # eta(20) gains an x term, the last k of quad_ext_sweep(20)
+        for k, eta in enumerate(real(), 1):
+            yield QuadExt(eta.a ^ (0b10 if k == 20 else 0), eta.b)
+
+    return eta_ladder
+
+
+def _flip_delta(real):
+    def synthesize_packed(*args, **kwargs):  # the last discrepancy
+        vop, profile = real(*args, **kwargs)
+        i = max(i for i, e in enumerate(profile) if e.delta is not None)
+        profile[i] = profile[i]._replace(delta=profile[i].delta ^ 1)
+        return vop, profile
+
+    return synthesize_packed
+
+
+@pytest.mark.parametrize(
+    "check, module, name, corrupt",
+    [
+        ("dai", cli, "_dai_cascade", _flip_dai_quotient),
+        ("dai", cli, "_dai_cascade", _flip_dai_c),
+        ("closed-form", cli, "closed_form", _flip_closed_form),
+        ("matrix", cli, "matrix_recurrence", _flip_matrix),
+        ("quadext", rueppel, "_eta_ladder", _flip_eta),
+        ("delta", rueppel, "synthesize_packed", _flip_delta),
+    ],
+)
+def test_rueppel_verify_fails_on_one_flipped_bit(
+    capsys, monkeypatch, check, module, name, corrupt
+):
+    # one bit off on the reference side fails that check and no other
+    monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
+    code, out, _ = run_cli(capsys, "rueppel", "--n", "40", "--verify", "all")
+    assert code == 2
+    for other in VERIFY_CHECKS:
+        assert f"verify {other}: {'FAIL' if other == check else 'pass'}" in out
+    code, out, _ = run_cli(capsys, "rueppel", "--n", "40", "--verify", check, "--json")
+    assert code == 2 and json.loads(out)["checks"] == {check: False}
+
+
+def test_closed_form_check_reads_the_sizes_ralg_does(monkeypatch):
+    # the one-sweep check against the per-size ralg(2l) loop it replaced,
+    # with the true closed form and with one broken at a single l
+    def per_size(n):
+        l, ok = 1, True
+        while 2 * l <= n:
+            ok = ok and ralg(2 * l).f == cli.closed_form(l)
+            l <<= 1
+        return ok
+
+    real = cli.closed_form
+    for bad in (None, 1, 8, 256):
+        monkeypatch.setattr(
+            cli, "closed_form", lambda l: _flip_constant_term(real(l)) if l == bad else real(l)
+        )
+        for n in range(1, 601):
+            want = bad is None or 2 * bad > n
+            assert _verify_one("closed-form", n) == per_size(n) == want, (bad, n)
 
 
 def test_rueppel_bad_n(capsys):

@@ -20,10 +20,12 @@ from seqideal import (
     minimal_polynomial,
     reciprocal,
 )
-from seqideal.field import unpack_bits
+from seqideal.field import pack_bits, unpack_bits
 from seqideal.oracles import (
     _berlekamp_massey_lists,
+    _dai_cascade,
     _dai_ea_lists,
+    _packed,
     connection_equals,
     satisfies_recurrence,
 )
@@ -292,6 +294,38 @@ def test_dai_packed_cascade_matches_lists_on_rueppel_prefixes():
 def test_dai_packed_cascade_matches_lists_property(k, bits):
     seq = unpack_bits(bits, 2 * k)
     assert dai_ea(k, seq, GF2) == _dai_ea_lists(k, seq, GF2)
+
+
+def _ea_masks(ea):
+    """An EAResult in the (c, quotients, degrees) masks of _dai_cascade."""
+    quotients = tuple(pack_bits(q.coeffs) for q in ea.quotients)
+    return pack_bits(ea.c.coeffs), quotients, ea.remainder_degrees
+
+
+def test_dai_cascade_on_a_shifted_rueppel_prefix_matches_lists():
+    # the rueppel --verify dai layout: every k cut from one packed 512-term prefix
+    seq = rueppel_sequence(512)
+    s = _packed(seq)
+    for k in range(1, 257):
+        want = _ea_masks(_dai_ea_lists(k, seq[: 2 * k], GF2))
+        assert _dai_cascade(k, s >> (512 - 2 * k)) == want, k
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    k=strategies.integers(1, 64),
+    surplus=strategies.integers(0, 64),
+    bits=strategies.integers(0, (1 << 256) - 1),
+)
+@example(k=64, surplus=64, bits=0)  # all zero
+@example(k=32, surplus=32, bits=1 << 127)  # the 2k-term prefix is all zero
+@example(k=8, surplus=3, bits=0b1011 << 5)  # leading zeros
+def test_dai_cascade_shifted_prefix_matches_packed_prefix(k, surplus, bits):
+    m = k + surplus
+    seq = unpack_bits(bits, 2 * m)
+    got = _dai_cascade(k, _packed(seq) >> 2 * surplus)
+    assert got == _dai_cascade(k, _packed(seq[: 2 * k]))
+    assert got == _ea_masks(_dai_ea_lists(k, seq[: 2 * k], GF2))
 
 
 def test_dai_generalizes_to_rationals():
