@@ -21,6 +21,10 @@ The objects here live in two graded rings over an exact field F:
   ascending, trailing zeros stripped.  The zero polynomial has degree -1
   by convention.
 
+``Form`` and ``UniPoly`` are one container, a field and an immutable
+coefficient tuple indexed by x-exponent, and share its comparison,
+printing, negation, scaling and normalization.
+
 F[x, z] acts on F[x^-1, z^-1] by contraction: x^p z^q sends
 x^-u z^-v to x^(p-u) z^(q-v) when both result exponents stay
 non-positive and to zero otherwise.  ``apply`` implements the linear
@@ -72,16 +76,92 @@ def _fmt_term(field: Field, c, xe: int, ze: int) -> str:
     return field.format(c) + mono
 
 
-def _join_terms(terms: list[str]) -> str:
-    if not terms:
-        return "0"
-    out = terms[0]
-    for t in terms[1:]:
-        out += "-" + t[1:] if t.startswith("-") else "+" + t
-    return out
+def _render(field: Field, terms) -> str:
+    """The text of the nonzero (coefficient, x-exponent, z-exponent)
+    terms in the order given, joined by signs; "0" when none is nonzero."""
+    out = ""
+    for c, xe, ze in terms:
+        if field.is_zero(c):
+            continue
+        t = _fmt_term(field, c, xe, ze)
+        if out:
+            t = "-" + t[1:] if t.startswith("-") else "+" + t
+        out += t
+    return out or "0"
 
 
-class Form:
+class _Coeffs:
+    """A field and a dense coefficient tuple indexed by x-exponent, the
+    data shared by ``Form`` and ``UniPoly``.  Instances are immutable;
+    the zero value has no coefficients and degree -1.  A subclass sets
+    the coefficients in its constructor and supplies its leading
+    coefficient and the z-exponent each term prints with."""
+
+    __slots__ = ("field", "coeffs")
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def zero(cls, field: Field):
+        return cls(field, ())
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @property
+    def degree(self) -> int:
+        """Degree (total degree for a form); -1 for zero."""
+        return len(self.coeffs) - 1
+
+    @property
+    def is_monic(self) -> bool:
+        return bool(self.coeffs) and self._leading() == self.field.one
+
+    def monic(self):
+        if self.is_zero:
+            raise FieldError(f"cannot normalize the zero {type(self).__name__}")
+        lc = self._leading()
+        if lc == self.field.one:
+            return self
+        inv = self.field.inv(lc)
+        mul = self.field.mul
+        return type(self)(self.field, [mul(inv, c) for c in self.coeffs])
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self):
+        neg = self.field.neg
+        return type(self)(self.field, [neg(c) for c in self.coeffs])
+
+    def scale(self, c):
+        c = self.field.coerce(c)
+        mul = self.field.mul
+        return type(self)(self.field, [mul(c, a) for a in self.coeffs])
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self.field == other.field
+            and self.coeffs == other.coeffs
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.coeffs))
+
+    def __str__(self) -> str:
+        terms = ((self.coeffs[i], i, self._z_exp(i)) for i in range(self.degree, -1, -1))
+        return _render(self.field, terms)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.field.name}, {self})"
+
+
+class Form(_Coeffs):
     """A homogeneous polynomial in F[x, z], dense by x-exponent.
 
     The zero form is stored canonically with an empty coefficient tuple
@@ -90,7 +170,7 @@ class Form:
     how z-divisible forms look).
     """
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ()
 
     def __init__(self, field: Field, coeffs: Iterable = ()):
         object.__setattr__(self, "field", field)
@@ -99,14 +179,7 @@ class Form:
             raw = ()
         object.__setattr__(self, "coeffs", raw)
 
-    def __setattr__(self, *_):
-        raise AttributeError("Form is immutable")
-
     # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def zero(cls, field: Field) -> "Form":
-        return cls(field, ())
 
     @classmethod
     def monomial(cls, field: Field, x_exp: int, z_exp: int, coeff=1) -> "Form":
@@ -115,15 +188,6 @@ class Form:
         return cls(field, coeffs)
 
     # -- structure -------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        """Total degree; -1 for the zero form."""
-        return len(self.coeffs) - 1
 
     def grlex_lt(self):
         """Leading term under grlex with x above z: (x-exponent, coefficient)."""
@@ -140,22 +204,15 @@ class Form:
         return bool(self.coeffs) and not self.field.is_zero(self.coeffs[-1])
 
     @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.grlex_lt()[1] == self.field.one
-
-    @property
     def z_divides(self) -> bool:
         """True when z divides the whole form."""
         return bool(self.coeffs) and self.field.is_zero(self.coeffs[-1])
 
-    def monic(self) -> "Form":
-        if self.is_zero:
-            raise FieldError("cannot normalize the zero form")
-        _, lc = self.grlex_lt()
-        if lc == self.field.one:
-            return self
-        inv = self.field.inv(lc)
-        return Form(self.field, [self.field.mul(inv, c) for c in self.coeffs])
+    def _leading(self):
+        return self.grlex_lt()[1]
+
+    def _z_exp(self, i: int) -> int:
+        return self.degree - i
 
     def eval_at_01(self):
         """Evaluate at x = 0, z = 1, which is the coefficient of z^degree."""
@@ -176,15 +233,6 @@ class Form:
         add = self.field.add
         return Form(self.field, [add(a, b) for a, b in zip(self.coeffs, other.coeffs)])
 
-    def __sub__(self, other: "Form") -> "Form":
-        if not isinstance(other, Form):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "Form":
-        neg = self.field.neg
-        return Form(self.field, [neg(c) for c in self.coeffs])
-
     def __mul__(self, other: "Form") -> "Form":
         if not isinstance(other, Form):
             return NotImplemented
@@ -197,11 +245,6 @@ class Form:
         p = UniPoly._raw(f, list(self.coeffs)) * UniPoly._raw(f, list(other.coeffs))
         return homogenize(p).shift(z_exp=self.degree + other.degree - p.degree)
 
-    def scale(self, c) -> "Form":
-        c = self.field.coerce(c)
-        mul = self.field.mul
-        return Form(self.field, [mul(c, a) for a in self.coeffs])
-
     def shift(self, x_exp: int = 0, z_exp: int = 0) -> "Form":
         """Multiply by the monomial x^x_exp z^z_exp.
 
@@ -213,32 +256,6 @@ class Form:
         f = self.field
         coeffs = [f.zero] * x_exp + list(self.coeffs) + [f.zero] * z_exp
         return Form(f, coeffs)
-
-    # -- comparison / rendering ------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Form)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.coeffs))
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        d = self.degree
-        terms = []
-        for i in range(d, -1, -1):
-            c = self.coeffs[i]
-            if not self.field.is_zero(c):
-                terms.append(_fmt_term(self.field, c, i, d - i))
-        return _join_terms(terms)
-
-    def __repr__(self) -> str:
-        return f"Form({self.field.name}, {self})"
 
 
 class InverseForm:
@@ -322,24 +339,17 @@ class InverseForm:
         return hash((self.field, self.seq))
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
         m = self.m
-        terms = []
-        for j in range(m, 1):
-            c = self.seq[-j]
-            if not self.field.is_zero(c):
-                terms.append(_fmt_term(self.field, c, j, m - j))
-        return _join_terms(terms)
+        return _render(self.field, ((self.seq[-j], j, m - j) for j in range(m, 1)))
 
     def __repr__(self) -> str:
         return f"InverseForm({self.field.name}, {self})"
 
 
-class UniPoly:
+class UniPoly(_Coeffs):
     """Univariate polynomial over an exact field, coefficients ascending."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ()
 
     def __init__(self, field: Field, coeffs: Iterable = ()):
         self._set(field, field.coerce_all(coeffs))
@@ -359,13 +369,6 @@ class UniPoly:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", tuple(raw))
 
-    def __setattr__(self, *_):
-        raise AttributeError("UniPoly is immutable")
-
-    @classmethod
-    def zero(cls, field: Field) -> "UniPoly":
-        return cls(field, ())
-
     @classmethod
     def one(cls, field: Field) -> "UniPoly":
         return cls(field, (field.one,))
@@ -374,36 +377,14 @@ class UniPoly:
     def x_power(cls, field: Field, k: int) -> "UniPoly":
         return cls(field, [field.zero] * k + [field.one])
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    @property
-    def leading(self):
-        if self.is_zero:
-            raise FieldError("zero polynomial has no leading coefficient")
+    def _leading(self):
         return self.coeffs[-1]
 
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.field.one
+    def _z_exp(self, i: int) -> int:
+        return 0
 
     def coeff(self, i: int):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else self.field.zero
-
-    def monic(self) -> "UniPoly":
-        if self.is_zero:
-            raise FieldError("cannot normalize the zero polynomial")
-        if self.is_monic:
-            return self
-        inv = self.field.inv(self.coeffs[-1])
-        mul = self.field.mul
-        return UniPoly(self.field, [mul(inv, c) for c in self.coeffs])
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
         if not isinstance(other, UniPoly):
@@ -414,15 +395,6 @@ class UniPoly:
             a, b = b, a
         add = self.field.add
         return UniPoly._raw(self.field, [add(x, y) for x, y in zip(a, b)] + list(a[len(b):]))
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "UniPoly":
-        neg = self.field.neg
-        return UniPoly._raw(self.field, [neg(c) for c in self.coeffs])
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         if not isinstance(other, UniPoly):
@@ -436,11 +408,6 @@ class UniPoly:
             if not f.is_zero(a):
                 f.submul_at(out, i, other.coeffs, f.neg(a))
         return UniPoly._raw(f, out)
-
-    def scale(self, c) -> "UniPoly":
-        c = self.field.coerce(c)
-        mul = self.field.mul
-        return UniPoly(self.field, [mul(c, a) for a in self.coeffs])
 
     def shift(self, k: int) -> "UniPoly":
         """Multiply by x^k."""
@@ -480,29 +447,6 @@ class UniPoly:
         for c in reversed(self.coeffs):
             acc = f.add(f.mul(acc, a), c)
         return acc
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, UniPoly)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.coeffs))
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        terms = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if not self.field.is_zero(c):
-                terms.append(_fmt_term(self.field, c, i, 0))
-        return _join_terms(terms)
-
-    def __repr__(self) -> str:
-        return f"UniPoly({self.field.name}, {self})"
 
 
 def unipoly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:

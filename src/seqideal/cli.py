@@ -80,28 +80,29 @@ def _tokens(text: str):
             yield m.group(0), lineno, m.start() + 1
 
 
+_BITS = {"0": 0, "1": 1}
+
+
 def _expand_gf2(token: str, line: int, col: int) -> list[int]:
     if token.startswith(("0x", "0X")):
         digits = token[2:]
+        # checked first: int(digits, 16) would also take "1_0" and a sign
         if not digits or any(c not in "0123456789abcdefABCDEF" for c in digits):
             raise CliParseError(line, col, f"bad hex literal {token!r}")
-        bits = []
-        for ch in digits:
-            v = int(ch, 16)
-            bits.extend(((v >> 3) & 1, (v >> 2) & 1, (v >> 1) & 1, v & 1))
-        return bits
-    if all(c in "01" for c in token):
-        return [int(c) for c in token]
-    raise CliParseError(line, col, f"GF(2) token must be bits or 0x hex, got {token!r}")
+        token = format(int(digits, 16), f"0{4 * len(digits)}b")
+    elif not all(c in "01" for c in token):
+        raise CliParseError(line, col, f"GF(2) token must be bits or 0x hex, got {token!r}")
+    return list(map(_BITS.__getitem__, token))
 
 
 def parse_sequence_text(text: str, field: Field) -> list:
     """Tokenize and parse an input file into raw field values."""
     out = []
-    for token, line, col in _tokens(text):
-        if field == GF2:
+    if field == GF2:
+        for token, line, col in _tokens(text):
             out.extend(_expand_gf2(token, line, col))
-        else:
+    else:
+        for token, line, col in _tokens(text):
             try:
                 out.append(field.parse(token))
             except FieldError as e:
@@ -457,33 +458,24 @@ def bench_rows(ns, impls, seed: int):
     input; the ralg implementation times its own Rueppel input."""
     import random as _random
 
-    from .oracles import berlekamp_massey as _bm
-
-    engines = {"vop": synthesize, "packed": synthesize_packed}
-
+    # impl name -> the linear complexity it finds for (seq, its InverseForm)
+    runs = {
+        "vop": lambda seq, F: synthesize(F)[0].f.degree,
+        "packed": lambda seq, F: synthesize_packed(F)[0].f.degree,
+        "ralg": lambda seq, F: ralg(len(seq)).f.degree,
+        "bm": lambda seq, F: berlekamp_massey(seq, GF2).L,
+    }
     rng = _random.Random(seed)
     rows = []
     for n in ns:
         seq = [rng.randrange(2) for _ in range(n)]
         F = InverseForm(GF2, seq)
         for impl in impls:
-            if impl in engines:
-                t0 = time.perf_counter_ns()
-                vop, _ = engines[impl](F)
-                nanos = time.perf_counter_ns() - t0
-                lam = vop.f.degree
-            elif impl == "bm":
-                t0 = time.perf_counter_ns()
-                res = _bm(seq, GF2)
-                nanos = time.perf_counter_ns() - t0
-                lam = res.L
-            elif impl == "ralg":
-                t0 = time.perf_counter_ns()
-                v = ralg(n)
-                nanos = time.perf_counter_ns() - t0
-                lam = v.f.degree
-            else:
+            if impl not in runs:
                 raise ValueError(f"unknown impl {impl!r}")
+            t0 = time.perf_counter_ns()
+            lam = runs[impl](seq, F)
+            nanos = time.perf_counter_ns() - t0
             rows.append((impl, n, nanos, lam))
     return rows
 

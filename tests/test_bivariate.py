@@ -380,3 +380,25 @@ def test_cross_field_structures_raise():
         Form(GF2, [1, 1]) + Form(GF(5), [1, 1])
     with pytest.raises(FieldError):
         apply(Form(GF2, [1, 1]), InverseForm(GF(5), [1]))
+
+
+def test_form_and_unipoly_container_contract(any_field):
+    F = any_field
+    rng = random.Random(13)
+    for _ in range(50):
+        c = [F.random(rng) for _ in range(rng.randrange(1, 8))] + [F.one]
+        f, p = Form(F, c), UniPoly(F, c)
+        for a in (f, p):
+            with pytest.raises(AttributeError):
+                a.coeffs = ()
+            with pytest.raises(AttributeError):
+                a.field = F
+            assert not hasattr(a, "__dict__")
+            twin = type(a)(F, c)
+            assert twin == a and hash(twin) == hash(a)
+            assert repr(a) == f"{type(a).__name__}({F.name}, {a})"
+            assert (a - a).is_zero and a - a == type(a).zero(F)
+            with pytest.raises(FieldError):
+                type(a).zero(F).monic()
+        assert f != p and p != f
+        assert homogenize(p) != p and homogenize(p) == f

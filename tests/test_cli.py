@@ -55,6 +55,8 @@ def test_parse_gf2_bitstring_and_hex():
     assert parse_sequence_text("0xB4", GF2) == [1, 0, 1, 1, 0, 1, 0, 0]
     assert parse_sequence_text("0x0B", GF2) == [0, 0, 0, 0, 1, 0, 1, 1]
     assert parse_sequence_text("11 0x8", GF2) == [1, 1, 1, 0, 0, 0]
+    assert parse_sequence_text("0XB4", GF2) == [1, 0, 1, 1, 0, 1, 0, 0]
+    assert parse_sequence_text("0x000", GF2) == [0] * 12
 
 
 def test_parse_errors_carry_position():
@@ -63,8 +65,9 @@ def test_parse_errors_carry_position():
     assert e.value.line == 2 and e.value.col == 3
     with pytest.raises(CliParseError):
         parse_sequence_text("", GF2)
-    with pytest.raises(CliParseError):
-        parse_sequence_text("0xZZ", GF2)
+    for bad in ("0xZZ", "0x1_0", "0x", "0x+1"):
+        with pytest.raises(CliParseError):
+            parse_sequence_text(bad, GF2)
     with pytest.raises(CliParseError) as e:
         parse_sequence_text("1/2 1/0", QQ)
     assert e.value.col == 5
@@ -287,6 +290,17 @@ def test_analyze_gfp_rejects_int_extras(tmp_path, capsys, token):
     code, out, err = run_cli(capsys, "analyze", "--field", "gfp:7", "--input", str(p))
     assert code == 1 and out == ""
     assert err == f"{p}:1:3: not an integer for GF(7): {token!r}\n"
+
+
+def test_analyze_gfp_2_is_gf2(capsys, monkeypatch):
+    # GF(2) is a singleton, so gfp:2 parses and reports as gf2
+    monkeypatch.setattr(sys, "stdin", io.StringIO("1 0 1\n"))
+    code, out, _ = run_cli(capsys, "analyze", "--field", "gfp:2", "--input", "-")
+    assert code == 0 and out.startswith("field: gf2\n")
+    monkeypatch.setattr(sys, "stdin", io.StringIO("3\n"))
+    code, out, err = run_cli(capsys, "analyze", "--field", "gfp:2", "--input", "-")
+    assert code == 1 and out == ""
+    assert err == "<stdin>:1:1: GF(2) token must be bits or 0x hex, got '3'\n"
 
 
 def test_analyze_checks_pass(tmp_path, capsys):
@@ -751,6 +765,11 @@ def test_bench_csv(capsys):
         assert set(impls) == {"vop", "packed", "ralg", "bm"}
         # same input, same complexity
         assert impls["packed"] == impls["vop"] == impls["bm"]
+
+
+def test_bench_rows_rejects_an_unknown_impl():
+    with pytest.raises(ValueError, match="unknown impl 'nope'"):
+        cli.bench_rows([8], ("vop", "nope"), seed=0)
 
 
 @pytest.mark.parametrize("flag", ["--step", "--max-n"])
