@@ -22,7 +22,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, zip_longest
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Optional, Union
@@ -30,7 +30,7 @@ from typing import Optional, Union
 from .bivariate import Form, InverseForm, UniPoly, dehomogenize
 from .field import GF2, Field, FieldError, field_from_tag
 from .oracles import (
-    _dai_cascade,
+    _dai_steps,
     _least_degree,
     _packed,
     berlekamp_massey,
@@ -59,7 +59,6 @@ from .vop_engine import (
 )
 
 ORACLE_LENGTH_BOUND = 16
-DAI_VERIFY_CAP = 256  # one cascade per k, each on the top 2k bits of one packed prefix
 
 
 class CliParseError(Exception):
@@ -402,15 +401,16 @@ def _verify_one(check: str, n: int) -> bool:
     if check == "quadext":
         return True if n < 2 else quad_ext_sweep(n // 2)
     if check == "dai":
-        # quotients x + 1, x, ..., x; c = f(x, 1), which is f's mask after 2k bits
-        max_k = min(n // 2, DAI_VERIFY_CAP)
-        s = _packed(rueppel_sequence(2 * max_k)) if max_k else 0
-        even_prefixes = islice(_ralg_pairs(2 * max_k), 1, None, 2)
-        for k, (f_mask, _, _, _) in enumerate(even_prefixes, 1):
-            c_mask, quotients, _ = _dai_cascade(k, s >> 2 * (max_k - k))
-            if quotients != (0b11,) + (0b10,) * (k - 1) or c_mask != f_mask:
-                return False
-        return True
+        # step k of one cascade on 2N terms ends the one on 2k terms: quotient
+        # x + 1 (k = 1) or x, c = f(x, 1), f's mask after 2k bits, and a
+        # remainder degree 2N - 1 - k, which is k - 1 on 2k terms
+        N = n // 2
+        steps = _dai_steps(N, _packed(rueppel_sequence(2 * N)) if N else 0)
+        want = (
+            (0b11 if k == 1 else 0b10, f_mask, 2 * N - 1 - k)
+            for k, (f_mask, _, _, _) in enumerate(islice(_ralg_pairs(2 * N), 1, None, 2), 1)
+        )
+        return all(step == w for step, w in zip_longest(steps, want))  # and N steps
     raise ValueError(f"unknown check {check!r}")
 
 
@@ -562,9 +562,7 @@ def make_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("rueppel", help="Rueppel sequence analysis and checks")
     r.add_argument("--n", type=int, required=True)
     r.add_argument(
-        "--verify",
-        choices=VERIFY_CHECKS + ("all",),
-        help="run consistency checks (dai is capped at k=256)",
+        "--verify", choices=VERIFY_CHECKS + ("all",), help="run consistency checks"
     )
     r.add_argument("--json", action="store_true")
     r.add_argument(

@@ -411,9 +411,20 @@ def field_from_tag(tag: str) -> Field:
     raise FieldError(f"unknown field {tag!r} (use gf2, gfp:<p> or q)")
 
 
+_BIT_DIGITS, _DIGIT_BITS = bytes.maketrans(b"\0\1", b"01"), bytes.maketrans(b"01", b"\0\1")
+
+
 def pack_bits(bits) -> int:
     """Pack an iterable of 0/1 into an int, index i at bit i: the GF(2)
-    layout of sequences and (with their degree) of homogeneous forms."""
+    layout of sequences and (with their degree) of homogeneous forms.  A
+    non-bit falls to the per-bit loop, which names it."""
+    bits = list(bits)
+    try:
+        raw = bytes(bits)
+        if not raw.translate(None, b"\0\1"):
+            return int(raw[::-1].translate(_BIT_DIGITS) or b"0", 2)
+    except (TypeError, ValueError):
+        pass
     mask = 0
     for i, b in enumerate(bits):
         if b not in (0, 1):
@@ -423,4 +434,5 @@ def pack_bits(bits) -> int:
 
 
 def unpack_bits(mask: int, n: int) -> list[int]:
-    return [(mask >> i) & 1 for i in range(n)]
+    """Bits 0..n-1 of mask >= 0, from its zero-filled binary digits."""
+    return list(format(mask, f"0{n}b")[: -n - 1 : -1].encode().translate(_DIGIT_BITS))

@@ -299,17 +299,24 @@ def _dai_ea_packed(k: int, s: list) -> EAResult:
 
 
 def _dai_cascade(k: int, r: int) -> tuple:
-    """The GF(2) cascade on ints, bit i the coefficient of x^i: c, the
-    quotients and the remainder degrees for the 2k-term prefix r, laid out
-    by :func:`_packed` with s_0 at bit 2k - 1.  A longer packed prefix
-    shifted right by twice the surplus terms is r, so one packing feeds
-    every k.  Each long-division step XORs the divisor, shifted by the
-    quotient bit's degree, into the remainder and the convergent, shifted
-    the same, into the next convergent, so q c_cur is never formed.
-    """
+    """c, the quotients and the remainder degrees of :func:`_dai_steps`."""
+    c, quotients, degrees = 1, [], []
+    for quot, c, degree in _dai_steps(k, r):
+        quotients.append(quot)
+        degrees.append(degree)
+    return c, tuple(quotients), tuple(degrees)
+
+
+def _dai_steps(k: int, r: int):
+    """(quotient, convergent, remainder degree) per step of the GF(2) cascade
+    on x^(2k) and the 2k-term prefix r, on ints with bit i the coefficient
+    of x^i (r as :func:`_packed` lays it out).  Each long-division step XORs
+    the divisor, shifted by the quotient bit's degree, into the remainder
+    and the convergent, shifted the same, into the next one, so q c_cur is
+    never formed.  While every quotient has degree 1, the first j quotients
+    and convergents are those of the first 2j terms: one cascade, every j."""
     r_prev, r_cur = 1 << (2 * k), r
     c_prev, c_cur = 0, 1
-    quotients, degrees = [], []
     while r_cur.bit_length() > k:  # nonzero with degree >= k
         db = r_cur.bit_length()
         quot, rem, c_next = 0, r_prev, c_prev
@@ -320,9 +327,7 @@ def _dai_cascade(k: int, r: int) -> tuple:
             c_next ^= c_cur << shift
         c_prev, c_cur = c_cur, c_next
         r_prev, r_cur = r_cur, rem
-        quotients.append(quot)
-        degrees.append(rem.bit_length() - 1)
-    return c_cur, tuple(quotients), tuple(degrees)
+        yield quot, c_cur, rem.bit_length() - 1
 
 
 def _packed(s: list) -> int:

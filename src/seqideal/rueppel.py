@@ -52,12 +52,7 @@ def rueppel_bits(n: int) -> int:
     """The first n Rueppel bits packed into an int (bit i = r_i)."""
     if n < 1:
         raise FieldError("need n >= 1")
-    mask = 0
-    k = 1  # 2^0
-    while k - 1 < n:
-        mask |= 1 << (k - 1)
-        k <<= 1
-    return mask
+    return sum(1 << ((1 << j) - 1) for j in range(n.bit_length()))
 
 
 def rueppel_sequence(n: int) -> list[int]:
@@ -160,26 +155,29 @@ def matrix_recurrence(n: int) -> VOP:
     accumulated product of step matrices.
 
     The step matrix is diag(1, z) at even steps and ((x, z), (1, 0)) at
-    odd ones; the product is accumulated entrywise over packed forms and
-    applied once to the starting row (x + z, z).  Must agree bit for bit
-    with :func:`ralg`.
+    odd ones; the product is accumulated on masks, with one degree per
+    column, and applied once to the starting row (x + z, z).  Must agree
+    bit for bit with :func:`ralg`.
     """
     if n < 1:
         raise FieldError("need n >= 1")
-    # accumulated product, row-major 2x2, starting from the identity
-    p11, p12, p21, p22 = (1, 0), (0, 0), (0, 0), (1, 0)
+    # accumulated product, row-major 2x2, from the identity; column j has degree dj
+    a11, a12, a21, a22 = 1, 0, 0, 1
+    d1 = d2 = 0
     for i in range(n - 1):
         if i & 1:
-            # right-multiply by U = ((x, z), (1, 0))
-            p11, p12 = _ent_add(_ent_x(p11), p12), _ent_z(p11)
-            p21, p22 = _ent_add(_ent_x(p21), p22), _ent_z(p21)
+            # right-multiply by U = ((x, z), (1, 0)): x col1 + col2 | z col1
+            if d1 + 1 != d2:
+                raise AssertionError("inhomogeneous matrix entry")
+            a11, a12 = (a11 << 1) ^ a12, a11
+            a21, a22 = (a21 << 1) ^ a22, a21
+            d1 = d2 = d1 + 1
         else:
             # right-multiply by E = diag(1, z)
-            p12 = _ent_z(p12)
-            p22 = _ent_z(p22)
+            d2 += 1
     # row (x + z, z) times the product: column j gives x p1j + z (p1j + p2j)
-    f_mask, f_deg = _ent_add(_ent_x(p11), _ent_z(_ent_add(p11, p21)))
-    g_mask, g_deg = _ent_add(_ent_x(p12), _ent_z(_ent_add(p12, p22)))
+    f_mask, f_deg = _ent_add(_ent_x((a11, d1)), _ent_z(_ent_add((a11, d1), (a21, d1))))
+    g_mask, g_deg = _ent_add(_ent_x((a12, d2)), _ent_z(_ent_add((a12, d2), (a22, d2))))
     if not f_mask or not g_mask:
         raise AssertionError("matrix recurrence produced a zero generator")
     return VOP(packed_form(f_mask, f_deg), packed_form(g_mask, g_deg))

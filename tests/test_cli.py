@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings, strategies
@@ -23,10 +24,10 @@ from seqideal.cli import (
     parse_sequence_text,
 )
 from seqideal import GF, GF2, QQ, EngineError, FieldError
-from seqideal.oracles import BMResult
+from seqideal.oracles import BMResult, _dai_cascade, _packed
 from seqideal.bivariate import UniPoly
 from seqideal.field import PRIME_BOUND, field_from_tag, pack_bits
-from seqideal.rueppel import QuadExt, ralg
+from seqideal.rueppel import QuadExt, ralg, rueppel_sequence
 from seqideal.vop_engine import THETA_ENUMERATE_CAP, VOP, packed_form
 from tests.conftest import FIELD_VALUES, FITZ, value_runs
 
@@ -604,22 +605,21 @@ def test_rueppel_verify_jobs(capsys):
     assert code == 0 and out.count(": pass") == 5
 
 
-def _flip_dai_quotient(real):
-    def cascade(k, r):  # the last quotient at the largest k of an n=40 run
-        c, quotients, degrees = real(k, r)
-        if k == 20:
-            quotients = quotients[:-1] + (quotients[-1] ^ 1,)
-        return c, quotients, degrees
+def _flip_dai_step(k, field):
+    """Flip bit 0 of one field (0 quotient, 1 convergent, 2 remainder
+    degree) at step k of the one cascade of an n=40 run, which has 20."""
 
-    return cascade
+    def corrupt(real):
+        def steps(N, r):
+            for j, step in enumerate(real(N, r), 1):
+                if j == k:
+                    step = step[:field] + (step[field] ^ 1,) + step[field + 1 :]
+                yield step
 
+        return steps
 
-def _flip_dai_c(real):
-    def cascade(k, r):
-        c, quotients, degrees = real(k, r)
-        return (c ^ 1 if k == 20 else c), quotients, degrees
-
-    return cascade
+    corrupt.__name__ = f"_flip_dai_{('quotient', 'c', 'degree')[field]}_at_{k}"
+    return corrupt
 
 
 def _flip_constant_term(form):
@@ -662,8 +662,11 @@ def _flip_delta(real):
 @pytest.mark.parametrize(
     "check, module, name, corrupt",
     [
-        ("dai", cli, "_dai_cascade", _flip_dai_quotient),
-        ("dai", cli, "_dai_cascade", _flip_dai_c),
+        ("dai", cli, "_dai_steps", _flip_dai_step(20, 0)),  # the last k
+        ("dai", cli, "_dai_steps", _flip_dai_step(20, 1)),
+        ("dai", cli, "_dai_steps", _flip_dai_step(1, 0)),  # x + 1 becomes x
+        ("dai", cli, "_dai_steps", _flip_dai_step(7, 1)),
+        ("dai", cli, "_dai_steps", _flip_dai_step(13, 2)),
         ("closed-form", cli, "closed_form", _flip_closed_form),
         ("matrix", cli, "matrix_recurrence", _flip_matrix),
         ("quadext", rueppel, "_eta_ladder", _flip_eta),
@@ -701,6 +704,42 @@ def test_closed_form_check_reads_the_sizes_ralg_does(monkeypatch):
         for n in range(1, 601):
             want = bad is None or 2 * bad > n
             assert _verify_one("closed-form", n) == per_size(n) == want, (bad, n)
+
+
+@pytest.mark.parametrize(
+    "length", [lambda steps: steps[:-1], lambda steps: steps + steps[-1:]], ids=["short", "over"]
+)
+def test_dai_check_needs_exactly_n_half_steps(monkeypatch, length):
+    # one step short or one step over fails, though each step it compares matches
+    real = cli._dai_steps
+    monkeypatch.setattr(cli, "_dai_steps", lambda N, r: iter(length(list(real(N, r)))))
+    assert not _verify_one("dai", 40)
+
+
+def test_dai_check_reads_every_k_the_per_k_cascades_do(monkeypatch):
+    # the one-cascade check against a per-k reference, one cascade on each
+    # 2k-term prefix (the same for every n, so each runs once), with f's
+    # true masks and with f broken after the 2k bits of a single k
+    cascades = {k: _dai_cascade(k, _packed(rueppel_sequence(2 * k))) for k in range(1, 301)}
+
+    def per_k(n):
+        N = n // 2
+        even_prefixes = islice(cli._ralg_pairs(2 * N), 1, None, 2)
+        return all(
+            cascades[k][:2] == (f_mask, (0b11,) + (0b10,) * (k - 1))
+            for k, (f_mask, _, _, _) in enumerate(even_prefixes, 1)
+        )
+
+    real = cli._ralg_pairs
+    for bad in (None, 1, 7, 150, 300):
+        def pairs(n, flip_at=2 * bad if bad else 0):
+            for m, (f_mask, *rest) in enumerate(real(n), 1):
+                yield (f_mask ^ (m == flip_at), *rest)
+
+        monkeypatch.setattr(cli, "_ralg_pairs", pairs)
+        for n in range(1, 601):
+            want = bad is None or 2 * bad > n
+            assert _verify_one("dai", n) == per_k(n) == want, (bad, n)
 
 
 def test_rueppel_bad_n(capsys):

@@ -3,6 +3,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies
 
 from seqideal import (
     GF,
@@ -239,6 +240,57 @@ def test_gf2_bit_packing_round_trip():
         n = rng.randrange(1, 40)
         bits = [rng.randrange(2) for _ in range(n)]
         assert unpack_bits(pack_bits(bits), n) == bits
+
+
+def _old_pack_bits(bits):
+    mask = 0
+    for i, b in enumerate(bits):
+        if b not in (0, 1):
+            raise FieldError(f"not a bit: {b!r}")
+        mask |= b << i
+    return mask
+
+
+def _old_unpack_bits(mask, n):
+    return [(mask >> i) & 1 for i in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(mask=strategies.integers(0, (1 << 300) - 1), surplus=strategies.integers(-300, 40))
+@example(mask=0, surplus=0)
+@example(mask=0, surplus=5)
+@example(mask=1 << 299, surplus=-299)
+def test_bit_packing_matches_the_per_bit_loops(mask, surplus):
+    # n below, at and above the bit length, and n = 0
+    for n in (max(mask.bit_length() + surplus, 0), 0):
+        bits = _old_unpack_bits(mask, n)
+        got = unpack_bits(mask, n)
+        assert got == bits and all(type(b) is int for b in got)
+        want = _old_pack_bits(bits)
+        for arg in (bits, tuple(bits), iter(bits), (b for b in bits), [bool(b) for b in bits]):
+            got = pack_bits(arg)
+            assert got == want and type(got) is int
+
+
+_NON_BITS = [2, -1, 1.5, "1", True, 256, 1.0, None]
+
+
+@pytest.mark.parametrize(
+    "arg", [[b] for b in _NON_BITS] + [[1, 0, b, 1] for b in _NON_BITS] + ["101", 5]
+)
+def test_pack_bits_on_non_bits_behaves_as_the_per_bit_loop(arg):
+    # the same FieldError text, or the same TypeError; True is a bit, and a
+    # str or an int as the whole argument is refused as before
+    args = (arg, iter(arg)) if isinstance(arg, list) else (arg,)
+    try:
+        want = _old_pack_bits(arg)
+    except (FieldError, TypeError) as e:
+        for a in args:
+            with pytest.raises(type(e)) as got:
+                pack_bits(a)
+            assert type(got.value) is type(e) and str(got.value) == str(e)
+    else:
+        assert [pack_bits(a) for a in args] == [want] * len(args)
 
 
 def test_finite_enumeration():

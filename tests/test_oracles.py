@@ -25,12 +25,13 @@ from seqideal.oracles import (
     _berlekamp_massey_lists,
     _dai_cascade,
     _dai_ea_lists,
+    _dai_steps,
     _packed,
     connection_equals,
     satisfies_recurrence,
 )
 from seqideal.rueppel import ralg, rueppel_sequence
-from seqideal.vop_engine import _synthesize_fast
+from seqideal.vop_engine import _synthesize_fast, random_plcp_sequence
 from tests.conftest import FIELD_VALUES, FITZ, value_runs
 
 
@@ -303,7 +304,7 @@ def _ea_masks(ea):
 
 
 def test_dai_cascade_on_a_shifted_rueppel_prefix_matches_lists():
-    # the rueppel --verify dai layout: every k cut from one packed 512-term prefix
+    # every k cut from one packed 512-term prefix by a shift
     seq = rueppel_sequence(512)
     s = _packed(seq)
     for k in range(1, 257):
@@ -326,6 +327,41 @@ def test_dai_cascade_shifted_prefix_matches_packed_prefix(k, surplus, bits):
     got = _dai_cascade(k, _packed(seq) >> 2 * surplus)
     assert got == _dai_cascade(k, _packed(seq[: 2 * k]))
     assert got == _ea_masks(_dai_ea_lists(k, seq[: 2 * k], GF2))
+
+
+def _first_steps_are_the_short_cascades(N, r, last_degree_exact):
+    # the first k steps of the cascade on the 2N-term prefix r are the
+    # cascade on its first 2k terms: the same quotients and convergent,
+    # and remainder degrees 2(N - k) higher, except that the short
+    # cascade's last remainder may drop lower, to zero included
+    steps = list(_dai_steps(N, r))
+    assert len(steps) == N
+    for k in range(1, N + 1):
+        c, quotients, degrees = _dai_cascade(k, r >> 2 * (N - k))
+        head = steps[:k]
+        assert (c, quotients) == (head[-1][1], tuple(q for q, _, _ in head)), k
+        shifted = tuple(d - 2 * (N - k) for _, _, d in head)
+        assert degrees[:-1] == shifted[:-1], k
+        if last_degree_exact:
+            assert degrees[-1] == shifted[-1], k
+        else:
+            assert degrees[-1] <= shifted[-1], k
+
+
+def test_one_cascade_yields_every_k_of_the_rueppel_prefix():
+    _first_steps_are_the_short_cascades(512, _packed(rueppel_sequence(1024)), True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(N=strategies.integers(1, 64), seed=strategies.integers(0, 2**32))
+@example(N=2, seed=1)  # the 2-term cascade ends on a zero remainder
+def test_one_cascade_yields_every_k_of_a_perfect_profile_prefix(N, seed):
+    # a perfect profile makes every quotient degree 1
+    seq = random_plcp_sequence(2 * N, seed)
+    _first_steps_are_the_short_cascades(N, _packed(seq), False)
+    long = _dai_cascade(N, _packed(seq))
+    assert long == _ea_masks(_dai_ea_lists(N, seq, GF2))
+    assert all(q.bit_length() == 2 for q in long[1])
 
 
 def test_dai_generalizes_to_rationals():
