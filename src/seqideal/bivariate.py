@@ -22,8 +22,8 @@ The objects here live in two graded rings over an exact field F:
   by convention.
 
 ``Form`` and ``UniPoly`` are one container, a field and an immutable
-coefficient tuple indexed by x-exponent, and share its comparison,
-printing, negation, scaling and normalization.
+coefficient tuple indexed by x-exponent, and share its construction,
+comparison, printing, negation, scaling and normalization.
 
 F[x, z] acts on F[x^-1, z^-1] by contraction: x^p z^q sends
 x^-u z^-v to x^(p-u) z^(q-v) when both result exponents stay
@@ -93,11 +93,25 @@ def _render(field: Field, terms) -> str:
 class _Coeffs:
     """A field and a dense coefficient tuple indexed by x-exponent, the
     data shared by ``Form`` and ``UniPoly``.  Instances are immutable;
-    the zero value has no coefficients and degree -1.  A subclass sets
-    the coefficients in its constructor and supplies its leading
-    coefficient and the z-exponent each term prints with."""
+    the zero value has no coefficients and degree -1.  The constructor
+    checks values from outside through ``Field.coerce_all``; internal
+    arithmetic builds through :meth:`_raw`, which checks nothing.  A
+    subclass supplies the canonical form of its coefficients, its
+    leading coefficient and the z-exponent each term prints with."""
 
     __slots__ = ("field", "coeffs")
+
+    def __init__(self, field: Field, coeffs: Iterable = ()):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "coeffs", self._canonical(field, field.coerce_all(coeffs)))
+
+    @classmethod
+    def _raw(cls, field: Field, raw: list):
+        """Unchecked: raw is a fresh list of raw values of field, and may be consumed."""
+        obj = cls.__new__(cls)
+        object.__setattr__(obj, "field", field)
+        object.__setattr__(obj, "coeffs", cls._canonical(field, raw))
+        return obj
 
     def __setattr__(self, *_):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -127,7 +141,7 @@ class _Coeffs:
             return self
         inv = self.field.inv(lc)
         mul = self.field.mul
-        return type(self)(self.field, [mul(inv, c) for c in self.coeffs])
+        return self._raw(self.field, [mul(inv, c) for c in self.coeffs])
 
     def __sub__(self, other):
         if type(other) is not type(self):
@@ -136,12 +150,12 @@ class _Coeffs:
 
     def __neg__(self):
         neg = self.field.neg
-        return type(self)(self.field, [neg(c) for c in self.coeffs])
+        return self._raw(self.field, [neg(c) for c in self.coeffs])
 
     def scale(self, c):
         c = self.field.coerce(c)
         mul = self.field.mul
-        return type(self)(self.field, [mul(c, a) for a in self.coeffs])
+        return self._raw(self.field, [mul(c, a) for a in self.coeffs])
 
     def __eq__(self, other) -> bool:
         return (
@@ -172,12 +186,10 @@ class Form(_Coeffs):
 
     __slots__ = ()
 
-    def __init__(self, field: Field, coeffs: Iterable = ()):
-        object.__setattr__(self, "field", field)
-        raw = tuple(field.coerce_all(coeffs))
-        if raw and all(field.is_zero(c) for c in raw):
-            raw = ()
-        object.__setattr__(self, "coeffs", raw)
+    @staticmethod
+    def _canonical(field: Field, raw: list) -> tuple:
+        # the zero form has no coefficients, whatever its degree was
+        return () if all(field.is_zero(c) for c in raw) else tuple(raw)
 
     # -- constructors ----------------------------------------------------
 
@@ -185,7 +197,7 @@ class Form(_Coeffs):
     def monomial(cls, field: Field, x_exp: int, z_exp: int, coeff=1) -> "Form":
         coeffs = [field.zero] * (x_exp + z_exp + 1)
         coeffs[x_exp] = field.coerce(coeff)
-        return cls(field, coeffs)
+        return cls._raw(field, coeffs)
 
     # -- structure -------------------------------------------------------
 
@@ -231,7 +243,7 @@ class Form(_Coeffs):
         if self.degree != other.degree:
             raise FieldError("sum of forms of unequal degree is not homogeneous")
         add = self.field.add
-        return Form(self.field, [add(a, b) for a, b in zip(self.coeffs, other.coeffs)])
+        return Form._raw(self.field, [add(a, b) for a, b in zip(self.coeffs, other.coeffs)])
 
     def __mul__(self, other: "Form") -> "Form":
         if not isinstance(other, Form):
@@ -251,11 +263,8 @@ class Form(_Coeffs):
         An x shift moves the coefficients up; a z shift raises the degree
         and leaves the x-indexed coefficients where they are.
         """
-        if self.is_zero:
-            return self
         f = self.field
-        coeffs = [f.zero] * x_exp + list(self.coeffs) + [f.zero] * z_exp
-        return Form(f, coeffs)
+        return Form._raw(f, [f.zero] * x_exp + list(self.coeffs) + [f.zero] * z_exp)
 
 
 class InverseForm:
@@ -351,23 +360,12 @@ class UniPoly(_Coeffs):
 
     __slots__ = ()
 
-    def __init__(self, field: Field, coeffs: Iterable = ()):
-        self._set(field, field.coerce_all(coeffs))
-
-    @classmethod
-    def _raw(cls, field: Field, raw: list) -> "UniPoly":
-        """Internal constructor for a list of values that are already raw
-        elements of field, as arithmetic on raw values produces; skips
-        the coercion and consumes the list."""
-        p = cls.__new__(cls)
-        p._set(field, raw)
-        return p
-
-    def _set(self, field: Field, raw: list):
+    @staticmethod
+    def _canonical(field: Field, raw: list) -> tuple:
+        # trailing zeros are stripped, in place
         while raw and field.is_zero(raw[-1]):
             raw.pop()
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", tuple(raw))
+        return tuple(raw)
 
     @classmethod
     def one(cls, field: Field) -> "UniPoly":
@@ -411,9 +409,7 @@ class UniPoly(_Coeffs):
 
     def shift(self, k: int) -> "UniPoly":
         """Multiply by x^k."""
-        if self.is_zero or k == 0:
-            return self
-        return UniPoly(self.field, [self.field.zero] * k + list(self.coeffs))
+        return UniPoly._raw(self.field, [self.field.zero] * k + list(self.coeffs))
 
     def __divmod__(self, other: "UniPoly"):
         if not isinstance(other, UniPoly):
@@ -519,16 +515,14 @@ def discrepancy(f: Form, G: InverseForm):
 
 def homogenize(c: UniPoly) -> Form:
     """The form z^|c| * c(x/z); degree preserving on nonzero input."""
-    if c.is_zero:
-        return Form.zero(c.field)
-    return Form(c.field, c.coeffs)
+    return Form._raw(c.field, list(c.coeffs))
 
 
 def dehomogenize(f: Form) -> UniPoly:
     """Evaluate at z = 1; requires a leading form so the degree survives."""
     if not f.in_ll:
         raise FieldError("dehomogenizing a non-leading form would drop its degree")
-    return UniPoly(f.field, f.coeffs)
+    return UniPoly._raw(f.field, list(f.coeffs))
 
 
 def form_gcd(a: Form, b: Form) -> Form:
@@ -548,7 +542,7 @@ def form_gcd(a: Form, b: Form) -> Form:
 
     def split(phi: Form):
         top, _ = phi.grlex_lt()
-        return phi.degree - top, UniPoly(phi.field, phi.coeffs[: top + 1])
+        return phi.degree - top, UniPoly._raw(phi.field, list(phi.coeffs[: top + 1]))
 
     ea, wa = split(a)
     eb, wb = split(b)

@@ -30,6 +30,7 @@ from typing import Optional, Union
 from .bivariate import Form, InverseForm, UniPoly, dehomogenize
 from .field import GF2, Field, FieldError, field_from_tag
 from .oracles import (
+    ORACLE_LENGTH_BOUND,
     _dai_steps,
     _least_degree,
     _packed,
@@ -57,8 +58,6 @@ from .vop_engine import (
     synthesize,
     synthesize_packed,
 )
-
-ORACLE_LENGTH_BOUND = 16
 
 
 class CliParseError(Exception):

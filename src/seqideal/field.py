@@ -11,11 +11,11 @@ A :class:`Field` instance owns the arithmetic on raw values (``add``,
 ``mul``, ``inv``, ...) plus three vector kernels: :meth:`Field.dot` and
 :meth:`Field.submul_at`, which the synthesis engine calls in its inner
 loops, and :meth:`Field.coerce_all`, which validates a whole sequence
-where it enters a container or an oracle.  Raw values are the only
-scalar representation: containers elsewhere in the package (forms,
-sequences, polynomials) store them, use the kernels directly and hand
-them back, and refuse to combine containers over different fields with
-:class:`FieldMismatchError`.
+once, where it enters the package through a public container or oracle.
+Raw values are the only scalar representation: containers elsewhere in
+the package (forms, sequences, polynomials) store them, use the kernels
+directly, build results from them unchecked and hand them back, and
+refuse to mix fields with :class:`FieldMismatchError`.
 
 Parsing is deliberately asymmetric.  GF(2) accepts only the literal
 tokens ``0`` and ``1``: a stray ``2`` in a keystream is a data error, not
@@ -162,8 +162,8 @@ class Field:
     # -- conversions -----------------------------------------------------
 
     def coerce(self, x):
-        """Validate x (a raw value or an int) into a raw value; the one
-        place where values from outside the package are checked."""
+        """Validate x (a raw value or an int) into a raw value; with
+        :meth:`coerce_all`, the one check on values from outside."""
         raise NotImplementedError
 
     def parse(self, text: str):

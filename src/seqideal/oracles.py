@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Sequence
 
 from .bivariate import UniPoly
-from .field import GF2, Field, FieldError, unpack_bits
+from .field import GF2, Field, FieldError, pack_bits, unpack_bits
 
 __all__ = [
     "BMResult",
@@ -83,7 +83,7 @@ def _berlekamp_massey_lists(s: list, field: Field) -> BMResult:
         else:
             m += 1
         c = new_c
-    return BMResult(L, UniPoly(field, c))
+    return BMResult(L, UniPoly._raw(field, c))
 
 
 def _berlekamp_massey_packed(s: list) -> BMResult:
@@ -114,6 +114,7 @@ def _berlekamp_massey_packed(s: list) -> BMResult:
 
 
 WITNESS_ENUMERATE_CAP = 1 << 16
+ORACLE_LENGTH_BOUND = 16
 
 
 class BruteForceResult(NamedTuple):
@@ -190,9 +191,7 @@ def _span(field: Field, particular: list, basis: list):
     return points
 
 
-def brute_force_min_poly(
-    seq: Sequence, field: Field, max_len: int = 16
-) -> BruteForceResult:
+def brute_force_min_poly(seq: Sequence, field: Field) -> BruteForceResult:
     """Minimal polynomials straight from the defining recurrence.
 
     For each candidate degree l the linear system
@@ -200,12 +199,12 @@ def brute_force_min_poly(
     is solved by exact Gaussian elimination; the first feasible l is the
     linear complexity (at l = n the system has no rows, so every monic
     polynomial of degree n is a witness).  Cost grows quickly, hence the
-    length guard.
+    length guard, ORACLE_LENGTH_BOUND.
     """
     s = field.coerce_all(seq)
     n = len(s)
-    if n > max_len:
-        raise FieldError(f"brute force is limited to length {max_len}, got {n}")
+    if n > ORACLE_LENGTH_BOUND:
+        raise FieldError(f"brute force is limited to length {ORACLE_LENGTH_BOUND}, got {n}")
     l, (particular, basis) = _least_degree(s, field)
     if not basis:
         pts = [particular]
@@ -213,7 +212,7 @@ def brute_force_min_poly(
         return BruteForceResult(l, None)
     else:
         pts = _span(field, particular, basis)
-    polys = frozenset(UniPoly(field, p + [field.one]) for p in pts)
+    polys = frozenset(UniPoly._raw(field, p + [field.one]) for p in pts)
     return BruteForceResult(l, polys)
 
 
@@ -276,7 +275,7 @@ def dai_ea(k: int, seq: Sequence, field: Field) -> EAResult:
 def _dai_ea_lists(k: int, s: list, field: Field) -> EAResult:
     """The cascade on UniPoly coefficient lists, for any field."""
     r_prev = UniPoly.x_power(field, 2 * k)
-    r_cur = UniPoly(field, list(reversed(s)))
+    r_cur = UniPoly._raw(field, s[::-1])
     c_prev = UniPoly.zero(field)
     c_cur = UniPoly.one(field)
     quotients = []
@@ -332,7 +331,7 @@ def _dai_steps(k: int, r: int):
 
 def _packed(s: list) -> int:
     """GF(2) terms as one int with s_0 at the top bit, bit len(s) - 1."""
-    return int("".join(map(str, s)) or "0", 2)
+    return pack_bits(s[::-1])
 
 
 def _unpacked(mask: int) -> UniPoly:
@@ -347,7 +346,7 @@ def reciprocal(c: UniPoly) -> UniPoly:
     """
     if c.is_zero:
         raise FieldError("the zero polynomial has no reciprocal")
-    return UniPoly(c.field, list(reversed(c.coeffs))).monic()
+    return UniPoly._raw(c.field, list(reversed(c.coeffs))).monic()
 
 
 def connection_equals(bm: BMResult, c: UniPoly) -> bool:

@@ -185,11 +185,11 @@ class VOPState:
         return self._d
 
     def f_form(self) -> Form:
-        return Form(self.field, self._f)
+        return Form._raw(self.field, list(self._f))
 
     def g_form(self) -> Form:
         pad = self._gdeg + 1 - len(self._g)
-        return Form(self.field, list(self._g) + [self.field.zero] * pad)
+        return Form._raw(self.field, self._g + [self.field.zero] * pad)
 
     def vop(self) -> VOP:
         return VOP(self.f_form(), self.g_form(), degenerate=not self._active)
@@ -361,7 +361,7 @@ def synthesize_trace(F: InverseForm, basis: Optional[tuple[Form, Form]] = None):
 def packed_form(mask: int, deg: int) -> Form:
     """The GF(2) form of total degree deg whose x^i coefficient is bit i
     of mask; adding packed forms is XOR, x is a left shift, z raises deg."""
-    return Form(GF2, unpack_bits(mask, deg + 1))
+    return Form._raw(GF2, unpack_bits(mask, deg + 1))
 
 
 def _zero_prefix(seq, profile: list) -> int:
@@ -386,8 +386,8 @@ def _zero_prefix(seq, profile: list) -> int:
 
 def _degenerate_vop(field: Field, n: int) -> VOP:
     """The all-zero convention f = 1, g = z^(n+1)."""
-    g = Form(field, [field.one] + [field.zero] * (n + 1))
-    return VOP(Form(field, [field.one]), g, degenerate=True)
+    g = Form._raw(field, [field.one] + [field.zero] * (n + 1))
+    return VOP(Form._raw(field, [field.one]), g, degenerate=True)
 
 
 def synthesize_packed(F: InverseForm, basis: Optional[tuple[Form, Form]] = None):
@@ -495,8 +495,8 @@ def synthesize_rational(F: InverseForm):
         gdeg += 1
         d += 1
     profile.append(ProfileEntry(n - 1, len(fn) - 1, None, d))
-    f = Form(QQ, [Fraction(c, fn[-1]) for c in fn])
-    g = Form(QQ, [Fraction(c, gn[-1]) for c in gn] + [QQ.zero] * (gdeg + 1 - len(gn)))
+    f = Form._raw(QQ, [Fraction(c, fn[-1]) for c in fn])
+    g = Form._raw(QQ, [Fraction(c, gn[-1]) for c in gn] + [QQ.zero] * (gdeg + 1 - len(gn)))
     return VOP(f, g), profile
 
 
@@ -582,7 +582,7 @@ class Theta:
         out = set()
         universe = list(field.elements())
         for coeffs in _cartesian(universe, repeat=self.psi_degree + 1):
-            psi = Form(field, coeffs)
+            psi = Form._raw(field, list(coeffs))
             out.add(self.f if psi.is_zero else self.f + psi * self.g)
         return out
 
@@ -637,17 +637,17 @@ def random_plcp_sequence(n: int, seed: int = 0) -> list[int]:
     if n < 1:
         raise EngineError("need n >= 1")
     rng = _random.Random(seed)
-    state = VOPState(GF2)
-    state.push(1)
-    state.advance()
-    seq = [1]
-    for k in range(n - 1):
-        target = 1 if k % 2 == 1 else rng.randrange(2)
-        # the new term enters the discrepancy through f's leading
-        # coefficient, which is 1: with a zero in its place the window
-        # gives the rest, and the term is that plus the target
-        seq.append(0)
-        a = seq[-1] = target ^ discrepancy_window(GF2, state._f, seq, len(seq))
-        state.push(a)
-        state.advance()
-    return seq
+    # synthesize_packed's pair after s_0 = 1: s_t enters the discrepancy
+    # through f's leading bit, so s_t is the target plus the parity taken
+    # with bit t still 0, and the discrepancy comes out as the target
+    s, f, fdeg, g, d = 1, 2, 1, 1, 0
+    for t in range(1, n):
+        delta = 1 if t % 2 == 0 else rng.randrange(2)
+        s |= (delta ^ (f & (s >> (t - fdeg))).bit_count() & 1) << t
+        if delta:
+            if d <= 0:
+                f ^= g << -d
+            else:
+                f, fdeg, g, d = (f << d) ^ g, fdeg + d, f, -d
+        d += 1
+    return unpack_bits(s, n)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies
 
 from seqideal import (
     GF,
@@ -20,7 +21,7 @@ from seqideal import (
     linear_complexity,
     unipoly_gcd,
 )
-from tests.conftest import FITZ
+from tests.conftest import FIELD_VALUES, FITZ
 
 
 def q(s):
@@ -402,3 +403,31 @@ def test_form_and_unipoly_container_contract(any_field):
                 type(a).zero(F).monic()
         assert f != p and p != f
         assert homogenize(p) != p and homogenize(p) == f
+
+
+@pytest.mark.parametrize("tag", sorted(FIELD_VALUES))
+def test_raw_construction_equals_the_checked_one_property(tag):
+    field, elements = FIELD_VALUES[tag]
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=strategies.lists(strategies.one_of(strategies.just(0), elements), max_size=12))
+    @example(values=[])
+    @example(values=[0, 0, 0])
+    @example(values=[1, 0, 0])
+    @example(values=[0, 1, 0])
+    def check(values):
+        c = [field.coerce(v) for v in values]  # raw values of the field
+        for cls in (Form, UniPoly):
+            raw, checked = cls._raw(field, list(c)), cls(field, c)
+            assert raw == checked and hash(raw) == hash(checked)
+            assert raw.coeffs == checked.coeffs and raw.degree == checked.degree
+            assert all(type(a) is type(field.zero) for a in raw.coeffs)
+
+    check()
+
+
+@pytest.mark.parametrize("field, value", [(GF2, 2), (QQ, 1.5), (GF(7), True)])
+def test_public_constructors_still_check(field, value):
+    for build in (Form, UniPoly, InverseForm):
+        with pytest.raises(FieldError):
+            build(field, [field.one, value])

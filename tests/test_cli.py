@@ -575,6 +575,32 @@ def test_analyze_usage_errors(capsys):
 # -- rueppel -------------------------------------------------------------------
 
 
+def test_gf2_values_are_checked_once_where_they_enter(capsys, monkeypatch):
+    # every GF2.coerce_all call of one op, by the length it checked; the
+    # forms and polynomials the package builds from its own results are
+    # not checked again
+    sizes = []
+    check = type(GF2).coerce_all
+
+    def counting(self, values):
+        out = check(self, values)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(type(GF2), "coerce_all", counting)
+    bits = format(random.Random(1).getrandbits(4096), "04096b")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(bits + "\n"))
+    code, _, _ = run_cli(
+        capsys, "analyze", "--field", "gf2", "--input", "-", "--json", "--profile", "--check-bm"
+    )
+    # the InverseForm of the parsed terms, then berlekamp_massey's entry
+    assert code == 0 and sizes == [4096, 4096]
+    sizes.clear()
+    code, _, _ = run_cli(capsys, "rueppel", "--n", "4096", "--verify", "all", "--json")
+    # delta_parity_check's rueppel_inverse_form, then rueppel_basis's two forms
+    assert code == 0 and sizes == [4096, 2, 2]
+
+
 def test_rueppel_report(capsys):
     code, out, _ = run_cli(capsys, "rueppel", "--n", "10")
     assert code == 0

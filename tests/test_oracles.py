@@ -20,8 +20,10 @@ from seqideal import (
     minimal_polynomial,
     reciprocal,
 )
+from seqideal import cli
 from seqideal.field import pack_bits, unpack_bits
 from seqideal.oracles import (
+    ORACLE_LENGTH_BOUND,
     _berlekamp_massey_lists,
     _dai_cascade,
     _dai_ea_lists,
@@ -169,11 +171,11 @@ def test_brute_force_examples():
 
 
 def test_brute_force_length_guard():
+    # the one bound, which the --check-oracle message also names
+    assert ORACLE_LENGTH_BOUND == cli.ORACLE_LENGTH_BOUND == 16
+    assert brute_force_min_poly([0] * 16, GF2).lam == 0
     with pytest.raises(FieldError):
         brute_force_min_poly([0] * 17, GF2)
-    brute_force_min_poly([0] * 4, GF2, max_len=4)
-    with pytest.raises(FieldError):
-        brute_force_min_poly([0] * 5, GF2, max_len=4)
 
 
 def test_brute_force_witnesses_are_characteristic(any_field):
@@ -301,6 +303,25 @@ def _ea_masks(ea):
     """An EAResult in the (c, quotients, degrees) masks of _dai_cascade."""
     quotients = tuple(pack_bits(q.coeffs) for q in ea.quotients)
     return pack_bits(ea.c.coeffs), quotients, ea.remainder_degrees
+
+
+def _packed_by_string(s):
+    """The MSB-first packing as a base-2 string, s_0 the leading digit."""
+    return int("".join(map(str, s)) or "0", 2)
+
+
+def test_packed_equals_the_string_form_on_every_short_sequence():
+    for n in range(13):
+        for seq in itertools.product((0, 1), repeat=n):
+            assert _packed(list(seq)) == _packed_by_string(seq), seq
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=strategies.integers(0, 4096), bits=strategies.integers(0, (1 << 4096) - 1))
+@example(n=4096, bits=(1 << 4096) - 1)
+def test_packed_equals_the_string_form_property(n, bits):
+    seq = unpack_bits(bits, n)
+    assert _packed(seq) == _packed_by_string(seq)
 
 
 def test_dai_cascade_on_a_shifted_rueppel_prefix_matches_lists():

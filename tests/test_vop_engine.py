@@ -29,6 +29,8 @@ from seqideal import (
     synthesize,
     synthesize_trace,
 )
+from seqideal import cli
+from seqideal.bivariate import discrepancy_window
 from seqideal.field import unpack_bits
 from seqideal.vop_engine import _primitive, synthesize_packed, synthesize_rational
 from seqideal.rueppel import rueppel_basis, rueppel_inverse_form, synthesize_rueppel
@@ -493,6 +495,45 @@ def test_random_plcp_sequences():
         _, profile = synthesize(InverseForm(GF2, seq))
         assert is_plcp(profile)
         assert linear_complexity(seq, GF2) == (40 + 1) // 2
+
+
+def _random_plcp_on_vopstate(n, seed=0):
+    """The reference generator: the generic VOPState one term at a time,
+    each term read off its discrepancy window."""
+    rng = random.Random(seed)
+    state = VOPState(GF2)
+    state.push(1)
+    state.advance()
+    seq = [1]
+    for k in range(n - 1):
+        target = 1 if k % 2 == 1 else rng.randrange(2)
+        seq.append(0)
+        a = seq[-1] = target ^ discrepancy_window(GF2, state._f, seq, len(seq))
+        state.push(a)
+        state.advance()
+    return seq
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 300, 1000, 4096])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_packed_random_plcp_matches_the_vopstate_generator(n, seed):
+    assert random_plcp_sequence(n, seed) == _random_plcp_on_vopstate(n, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=strategies.integers(1, 512), seed=strategies.integers(0, 2**32))
+def test_packed_random_plcp_matches_the_vopstate_generator_property(n, seed):
+    assert random_plcp_sequence(n, seed) == _random_plcp_on_vopstate(n, seed)
+
+
+@pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["text", "json"])
+def test_profile_random_plcp_output_is_unchanged(monkeypatch, capsys, fmt):
+    argv = ["profile", "--random-plcp", "--n", "300", "--seed", "7", *fmt]
+    assert cli.main(argv) == 0
+    packed = capsys.readouterr()
+    monkeypatch.setattr(cli, "random_plcp_sequence", _random_plcp_on_vopstate)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr() == packed
 
 
 def test_cross_example_with_vanishing_constant_term():
