@@ -8,14 +8,26 @@ denominator) for the rationals.  All arithmetic is exact; floating point
 is never used anywhere in this package.
 
 A :class:`Field` instance owns the arithmetic on raw values (``add``,
-``mul``, ``inv``, ...) plus three vector kernels: :meth:`Field.dot` and
-:meth:`Field.submul_at`, which the synthesis engine calls in its inner
-loops, and :meth:`Field.coerce_all`, which validates a whole sequence
-once, where it enters the package through a public container or oracle.
+``mul``, ``inv``, ...) plus three vector kernels on lists: :meth:`Field.dot`
+and :meth:`Field.submul_at`, which the list-based inner loops call (the
+generic engine over GF(2) and QQ, the oracles and the polynomial
+containers), and :meth:`Field.coerce_all`, which validates a whole
+sequence once, where it enters the package through a public container
+or oracle.
 Raw values are the only scalar representation: containers elsewhere in
 the package (forms, sequences, polynomials) store them, use the kernels
 directly, build results from them unchecked and hand them back, and
 refuse to mix fields with :class:`FieldMismatchError`.
+
+This module also owns the packed vector formats.  GF(2) vectors are
+ints with entry i at bit i (:func:`pack_bits`, :func:`unpack_bits`).
+GF(p) vectors with p below 2^63 can be ints of W-bit slots
+(:class:`SlotVectors`), entry i in slot i, with W the smallest multiple
+of 64 with W >= 2b + 2 for b = p.bit_length().  That margin
+lets f - q x^k g run on every slot at once, as a few whole-int
+operations: a shifted multiply-add, one Barrett reduction of all slots
+(Barrett, CRYPTO '86) and two masked conditional subtractions of p,
+with no carry from one slot into the next.
 
 Parsing is deliberately asymmetric.  GF(2) accepts only the literal
 tokens ``0`` and ``1``: a stray ``2`` in a keystream is a data error, not
@@ -28,6 +40,8 @@ from __future__ import annotations
 
 import operator
 import re
+import sys
+from array import array
 from fractions import Fraction
 
 __all__ = [
@@ -40,6 +54,7 @@ __all__ = [
     "GF",
     "pack_bits",
     "unpack_bits",
+    "SlotVectors",
 ]
 
 
@@ -436,3 +451,74 @@ def pack_bits(bits) -> int:
 def unpack_bits(mask: int, n: int) -> list[int]:
     """Bits 0..n-1 of mask >= 0, from its zero-filled binary digits."""
     return list(format(mask, f"0{n}b")[: -n - 1 : -1].encode().translate(_DIGIT_BITS))
+
+
+class SlotVectors:
+    """GF(p) vectors packed as ints of W-bit slots, with the update
+    f - q x^k g done on every slot at once; one instance per synthesis
+    state, shared by its copies.
+
+    A vector of n coefficients is an int whose slot i (bits W*i up to
+    W*(i + 1)) holds the residue c_i in [0, p), so x^k is a shift by W*k
+    bits.  W is 64 bits per word times ``words``, the fewest words with
+    W >= 2b + 2 for b = p.bit_length(): one word below 2^31, two up to
+    2^63.  The per-slot masks of the Barrett pass cover ``slots`` slots
+    and double when an operand outgrows them; the slots above a shorter
+    operand stay zero through every mask.
+    """
+
+    def __init__(self, p: int):
+        b = p.bit_length()
+        self.p, self.b = p, b
+        self.words = -(-(2 * b + 2) // 64)
+        self.W = 64 * self.words
+        self.m = (1 << 2 * b) // p  # Barrett's constant
+        self.slots = 0
+        self.M = self.K = self.H = 0
+
+    def _spread(self, c: int, n: int) -> int:
+        return int.from_bytes(c.to_bytes(8 * self.words, "little") * n, "little")
+
+    def _grow(self, n: int):
+        # M takes a slot's b + 1 bits; the top bit of r + K is set
+        # exactly where a residue r < 2^(W - 1) is at least p
+        n = max(n, 2 * self.slots)
+        self.M = self._spread((1 << self.b + 1) - 1, n)
+        self.K = self._spread((1 << self.W - 1) - self.p, n)
+        self.H = self._spread(1 << self.W - 1, n)
+        self.slots = n
+
+    def pack(self, coeffs) -> int:
+        """The vector of raw residues coeffs, entry i in slot i."""
+        a = array("Q", bytes(8 * self.words * len(coeffs)))
+        a[:: self.words] = array("Q", coeffs)
+        if sys.byteorder == "big":
+            a.byteswap()
+        return int.from_bytes(a, "little")
+
+    def unpack(self, v: int) -> list:
+        """The residues of v up to its last nonzero slot, as a list."""
+        a = array("Q", v.to_bytes(8 * self.words * -(-v.bit_length() // self.W), "little"))
+        if sys.byteorder == "big":
+            a.byteswap()
+        return a[:: self.words].tolist()
+
+    def copy(self, v: int) -> int:
+        return v
+
+    def shift(self, v: int, d: int) -> int:
+        """x^d v."""
+        return v << self.W * d
+
+    def submul(self, f: int, k: int, g: int, q) -> int:
+        """f - q x^k g, reduced into [0, p) in every slot."""
+        p, b, W = self.p, self.b, self.W
+        x = f + ((p - q) * g << W * k)  # every slot below p^2 <= 2^(2b)
+        if x.bit_length() > W * self.slots:
+            self._grow(-(-x.bit_length() // W))
+        M, K, H = self.M, self.K, self.H
+        t = ((((x >> b - 1) & M) * self.m) >> b + 1) & M
+        r = x - t * p  # every slot in [0, 3p)
+        r -= (((r + K) & H) >> W - 1) * p
+        r -= (((r + K) & H) >> W - 1) * p
+        return r

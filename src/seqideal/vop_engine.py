@@ -20,6 +20,13 @@ prefix is floor((n + 1) / 2); ``is_plcp`` tests that via the profile and
 independently via the equivalent shift pattern of the construction, and
 insists the two agree.
 
+Over GF(p) with p below 2^63, ``VOPState`` itself (and so ``synthesize``)
+keeps f and g as slot vectors, one int each with a residue per slot
+(:class:`~seqideal.field.SlotVectors`), so an update is one Barrett pass
+over every coefficient; GF(2), QQ and larger primes keep lists that the
+field's ``submul_at`` updates.  On both kinds the discrepancy dots f's
+coefficient list, unpacked once per update, with the sequence.
+
 Over GF(2), ``synthesize_packed`` runs the same construction on
 bit-packed forms (a :func:`~seqideal.field.pack_bits` mask and a total
 degree, read back by :func:`packed_form`; the Rueppel loops use the same
@@ -56,7 +63,7 @@ from .bivariate import (
     discrepancy_window,
     form_gcd,
 )
-from .field import GF2, QQ, Field, FieldError, pack_bits, unpack_bits
+from .field import GF2, QQ, Field, FieldError, SlotVectors, pack_bits, unpack_bits
 
 __all__ = [
     "VOP",
@@ -134,6 +141,35 @@ def _checked_basis(basis: tuple[Form, Form], t0: int) -> tuple[Form, Form]:
     return bf, bg
 
 
+class _ListVectors:
+    """f and g as lists of raw coefficients, updated in place by the
+    field's own kernel: the vector kind of fields without slots."""
+
+    def __init__(self, field: Field):
+        self.field = field
+
+    pack = copy = staticmethod(list)
+
+    @staticmethod
+    def unpack(v: list) -> list:
+        return v
+
+    def shift(self, v: list, d: int) -> list:
+        return [self.field.zero] * d + v
+
+    def submul(self, f: list, k: int, g: list, q) -> list:
+        self.field.submul_at(f, k, g, q)
+        return f
+
+
+def _vectors(field: Field):
+    """The vector kind of a state over field: slots over GF(p) for p below
+    2^63, where a slot takes one or two 64-bit words, else lists."""
+    if field.kind == "gfp" and field.p < 1 << 63:
+        return SlotVectors(field.p)
+    return _ListVectors(field)
+
+
 class VOPState:
     """Mutable synthesis state. Feed terms with :meth:`push`, advance with
     :meth:`advance`, fork with :meth:`copy`.  A single state must be
@@ -149,8 +185,11 @@ class VOPState:
         self._buf: list = []          # all pushed terms, raw
         self._consumed = 0            # how many terms the pair accounts for
         self._active = False          # basis found (first nonzero term seen)
-        self._f: list = [field.one]   # coefficients of f by x-exponent
-        self._g: list = [field.one]   # x-coefficients of g
+        self._vec = _vectors(field)   # list or slot vectors, per field
+        self._fv = self._vec.pack([field.one])  # f as a vector
+        self._gv = self._vec.pack([field.one])  # g's x-coefficients as a vector
+        # f's coefficients by x-exponent as a list; _fv itself on lists
+        self._f: list = self._vec.unpack(self._fv)
         self._gdeg = 1                # total degree of g
         self._d = 1                   # |g| - |f|
         self._dp = field.one          # last pivot discrepancy, never zero
@@ -188,8 +227,8 @@ class VOPState:
         return Form._raw(self.field, list(self._f))
 
     def g_form(self) -> Form:
-        pad = self._gdeg + 1 - len(self._g)
-        return Form._raw(self.field, self._g + [self.field.zero] * pad)
+        g = self._vec.unpack(self._gv)
+        return Form._raw(self.field, g + [self.field.zero] * (self._gdeg + 1 - len(g)))
 
     def vop(self) -> VOP:
         return VOP(self.f_form(), self.g_form(), degenerate=not self._active)
@@ -200,8 +239,10 @@ class VOPState:
         other._buf = list(self._buf)
         other._consumed = self._consumed
         other._active = self._active
-        other._f = list(self._f)
-        other._g = list(self._g)
+        other._vec = vec = self._vec
+        other._fv = vec.copy(self._fv)
+        other._gv = vec.copy(self._gv)
+        other._f = vec.unpack(other._fv)
         other._gdeg = self._gdeg
         other._d = self._d
         other._dp = self._dp
@@ -235,16 +276,18 @@ class VOPState:
             v = -t
             if self._basis is not None:
                 bf, bg = _checked_basis(self._basis, t)
-                self._f = list(bf.coeffs)
+                f = bf.coeffs
                 top = max(i for i, c in enumerate(bg.coeffs) if not field.is_zero(c))
-                self._g = list(bg.coeffs[: top + 1])
+                g = bg.coeffs[: top + 1]
                 self._gdeg = bg.degree
                 self._d = bg.degree - bf.degree
             else:
-                self._f = [field.zero] * (1 - v) + [field.one]
-                self._g = [field.one]
+                f = [field.zero] * (1 - v) + [field.one]
+                g = [field.one]
                 self._gdeg = 1
                 self._d = v
+            self._fv, self._gv = self._vec.pack(f), self._vec.pack(g)
+            self._f = self._vec.unpack(self._fv)
             # the cogenerator's own discrepancy against the next prefix is
             # the first nonzero term itself (z-shifting each augmentation
             # keeps it constant until a pivot swap replaces it), so an
@@ -266,19 +309,20 @@ class VOPState:
         dp = self._dp
         delta = discrepancy_window(field, self._f, self._buf, n_new)
         q = field.div(delta, dp)
-        self.profile.append(ProfileEntry(k, len(self._f) - 1, delta, d))
+        fdeg = len(self._f) - 1
+        self.profile.append(ProfileEntry(k, fdeg, delta, d))
 
         if not field.is_zero(delta):
+            vec = self._vec
             if d <= 0:
-                field.submul_at(self._f, -d, self._g, q)
+                self._fv = vec.submul(self._fv, -d, self._gv, q)
             else:
-                new_f = [field.zero] * d + self._f
-                field.submul_at(new_f, 0, self._g, q)
-                self._g = self._f
-                self._f = new_f
-                self._gdeg = len(self._g) - 1
+                new_f = vec.submul(vec.shift(self._fv, d), 0, self._gv, q)
+                self._fv, self._gv = new_f, self._fv
+                self._gdeg = fdeg
                 self._dp = delta
                 self._d = -d
+            self._f = vec.unpack(self._fv)
         self._gdeg += 1
         self._d += 1
         self._consumed += 1

@@ -17,6 +17,7 @@ from seqideal import (
 )
 from seqideal.field import (
     PRIME_BOUND,
+    SlotVectors,
     _is_prime,
     field_from_tag,
     pack_bits,
@@ -291,6 +292,99 @@ def test_pack_bits_on_non_bits_behaves_as_the_per_bit_loop(arg):
             assert type(got.value) is type(e) and str(got.value) == str(e)
     else:
         assert [pack_bits(a) for a in args] == [want] * len(args)
+
+
+# one word per slot up to 2^31 - 1, two from 2^31 + 11 on; 2^63 - 25 is the
+# largest prime that gets slots; over GF(41) the slot load 1599 makes
+# Barrett's estimate fall two short, so both conditional subtractions run
+SLOT_PRIMES = [3, 7, 41, 101, 2**31 - 1, 2**31 + 11, 2**32 - 5, 2**61 - 1, 2**63 - 25]
+
+
+def _trimmed(v):
+    # what SlotVectors.unpack returns: v up to its last nonzero entry
+    v = list(v)
+    while v and not v[-1]:
+        v.pop()
+    return v
+
+
+def test_slot_width_keeps_every_intermediate_inside_its_slot():
+    for p in SLOT_PRIMES:
+        sv = SlotVectors(p)
+        assert sv.W == 64 * sv.words >= 2 * p.bit_length() + 2 > sv.W - 64
+        assert sv.words == (1 if p < 2**31 else 2)
+
+
+@pytest.mark.parametrize("p", SLOT_PRIMES)
+def test_slot_update_matches_the_list_kernel(p):
+    # f - q x^shift g on every slot at once equals the per-coefficient
+    # loop, from fresh masks and from masks longer than the operands
+    F = GF(p)
+    grown = SlotVectors(p)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        n=strategies.integers(0, 600),
+        src_n=strategies.integers(0, 600),
+        shift=strategies.integers(0, 600),
+        q=strategies.sampled_from(["one", "minus_one", "random"]),
+        full=strategies.booleans(),
+        seed=strategies.integers(0, 2**32),
+    )
+    @example(n=600, src_n=600, shift=0, q="one", full=True, seed=0)
+    @example(n=600, src_n=1, shift=599, q="minus_one", full=True, seed=0)
+    @example(n=0, src_n=0, shift=0, q="random", full=False, seed=0)
+    def check(n, src_n, shift, q, full, seed):
+        # all-(p - 1) vectors with q = 1 load a slot with p^2 - p, the
+        # most a nonzero q can put there
+        rng = random.Random(seed)
+        src_n = min(src_n, n)
+        shift = min(shift, n - src_n)
+        q = {"one": 1, "minus_one": p - 1, "random": rng.randrange(p)}[q]
+        dst, src = ([p - 1 if full else rng.randrange(p) for _ in range(m)] for m in (n, src_n))
+        want = list(dst)
+        F.submul_at(want, shift, src, q)
+        for sv in (SlotVectors(p), grown):
+            got = sv.submul(sv.pack(dst), shift, sv.pack(src), q)
+            assert sv.unpack(got) == _trimmed(want)
+
+    check()
+    assert grown.slots >= 600
+
+
+def _barrett_shortfall(p, x):
+    b = p.bit_length()
+    return x // p - ((x >> b - 1) * ((1 << 2 * b) // p) >> b + 1)
+
+
+@pytest.mark.parametrize("p, loads", [
+    (41, [x for x in range(41 * 40) if _barrett_shortfall(41, x) == 2]),
+    (2**31 + 11, [4611686039902224383]),
+])
+def test_slot_update_where_barrett_falls_two_short(p, loads):
+    # slot loads f + (p - 1) g whose quotient estimate is two below x // p,
+    # the case the second conditional subtraction of p is there for
+    assert loads and all(_barrett_shortfall(p, x) == 2 for x in loads)
+    g = [x // (p - 1) for x in loads]
+    f = [x - (p - 1) * c for x, c in zip(loads, g)]
+    want = list(f)
+    GF(p).submul_at(want, 0, g, 1)
+    sv = SlotVectors(p)
+    assert sv.unpack(sv.submul(sv.pack(f), 0, sv.pack(g), 1)) == _trimmed(want)
+
+
+@pytest.mark.parametrize("p", SLOT_PRIMES)
+def test_slot_packing_round_trip(p):
+    rng = random.Random(p)
+    sv = SlotVectors(p)
+    for v in ([], [0], [1], [0, 0, 3 % p], [p - 1] * 600):
+        assert sv.unpack(sv.pack(v)) == _trimmed(v)
+    for _ in range(200):
+        v = [rng.choice((0, 1, p - 1, rng.randrange(p))) for _ in range(rng.randrange(601))]
+        packed = sv.pack(v)
+        assert packed == sum(c << sv.W * i for i, c in enumerate(v))
+        assert sv.unpack(packed) == _trimmed(v)
+        assert all(type(c) is int for c in sv.unpack(packed))
 
 
 def test_finite_enumeration():

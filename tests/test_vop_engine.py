@@ -29,9 +29,9 @@ from seqideal import (
     synthesize,
     synthesize_trace,
 )
-from seqideal import cli
+from seqideal import cli, vop_engine
 from seqideal.bivariate import discrepancy_window
-from seqideal.field import unpack_bits
+from seqideal.field import SlotVectors, unpack_bits
 from seqideal.vop_engine import _primitive, synthesize_packed, synthesize_rational
 from seqideal.rueppel import rueppel_basis, rueppel_inverse_form, synthesize_rueppel
 from tests.conftest import FIELD_VALUES, FIRST8_TABLE, FITZ, FITZ_TABLE, value_runs
@@ -254,6 +254,124 @@ def test_fork_before_the_first_term_keeps_the_basis():
     fork = VOPState(GF2, basis=rueppel_basis()).copy()
     fork.push_many([1, 1, 0, 1]).run()
     assert fork.vop() == synthesize(InverseForm(GF2, [1, 1, 0, 1]), basis=rueppel_basis())[0]
+
+
+def test_f_list_tracks_f_after_every_advance():
+    # perfbench's tracer counts length changes by reading len(state._f)
+    # around each advance, so _f stays f's coefficient list on slots too
+    rng = random.Random(101)
+    field = GF(101)
+    st = VOPState(field)
+    assert isinstance(st._vec, SlotVectors)
+    for t in range(400):
+        st.push(0 if t < 5 or rng.random() < 0.2 else rng.randrange(101)).advance()
+        assert len(st._f) == st.f_form().degree + 1
+        if t % 50 == 49:
+            fork = st.copy().push_many([rng.randrange(101) for _ in range(9)])
+            while fork.pending:
+                fork.advance()
+                assert len(fork._f) == fork.f_form().degree + 1
+
+
+def test_vector_kind_follows_the_field():
+    for field in (GF(3), GF(7), GF(2**31 - 1), GF(2**63 - 25)):
+        assert isinstance(VOPState(field)._vec, SlotVectors)
+    for field in (GF2, QQ, GF(2**63 + 29)):  # the first prime above 2^63
+        assert isinstance(VOPState(field)._vec, vop_engine._ListVectors)
+
+
+SLOT_FIELDS = [GF(7), GF(101), GF(2**31 - 1)]
+
+
+def _shipped_and_on_lists(run):
+    """run() as shipped and with every new VOPState on list vectors, the
+    kind GF(2) and QQ use, which the field's own kernels update."""
+    shipped = run()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(vop_engine, "_vectors", vop_engine._ListVectors)
+        return shipped, run()
+
+
+def _outcome(run):
+    # a copy() taken before the first nonzero term has no _basis (the
+    # known fork defect), so advancing it past that term raises
+    try:
+        return run()
+    except (EngineError, AttributeError) as e:
+        if isinstance(e, AttributeError) and "'_basis'" not in str(e):
+            raise
+        return type(e).__name__, str(e)
+
+
+@strategies.composite
+def _gfp_streams(draw, p):
+    # short runs of repeated values with zero runs, or up to 300 seeded
+    # random residues behind a zero prefix
+    if draw(strategies.booleans()):
+        return draw(value_runs(strategies.integers(0, p - 1)))
+    rng = random.Random(draw(strategies.integers(0, 2**32)))
+    return [0] * draw(strategies.integers(0, 4)) + [
+        rng.randrange(p) for _ in range(draw(strategies.integers(1, 300)))
+    ]
+
+
+@pytest.mark.parametrize("field", SLOT_FIELDS, ids=lambda f: f.tag)
+def test_slot_vectors_match_list_vectors(field):
+    p = field.p
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seq=_gfp_streams(p),
+        c=strategies.integers(0, p - 1),
+        forks=strategies.lists(
+            strategies.tuples(strategies.integers(0, 300), strategies.lists(
+                strategies.integers(0, p - 1), max_size=12)), max_size=4),
+    )
+    def check(seq, c, forks):
+        F = InverseForm(field, seq)
+        basis = (Form(field, [c, 1]), Form(field, [1, 0]))  # (x + cz, z)
+
+        def run():
+            out = [synthesize(F), synthesize_trace(F), _outcome(lambda: synthesize(F, basis))]
+            st = VOPState(field, trace=True)
+            for t, a in enumerate(seq):
+                st.push(a).advance()
+                for at, more in forks:
+                    if at == t:
+                        fork = st.copy().push_many(more)
+                        out.append(_outcome(lambda: (fork.run().vop(), fork.finish_profile())))
+            out.append((st.vop(), st.finish_profile(), st.trace))
+            return out
+
+        shipped, on_lists = _shipped_and_on_lists(run)
+        assert shipped == on_lists
+
+    check()
+
+
+def test_slot_vectors_match_list_vectors_under_debug_asserts(monkeypatch):
+    monkeypatch.setenv("SEQIDEAL_DEBUG_ASSERTS", "1")
+    rng = random.Random(31)
+    for field in SLOT_FIELDS:
+        for _ in range(15):
+            seq = [0] * rng.randrange(3) + [field.random(rng) for _ in range(rng.randrange(1, 10))]
+            F = InverseForm(field, seq)
+            shipped, on_lists = _shipped_and_on_lists(lambda: synthesize_trace(F))
+            assert shipped == on_lists
+
+
+def test_slot_vectors_raise_the_list_vectors_errors():
+    for field in SLOT_FIELDS:
+        basis = (Form(field, [1, 1]), Form(field, [1, 0]))
+        cases = [
+            lambda: VOPState(field).advance(),
+            lambda: VOPState(field).push(1).run().advance(),
+            lambda: synthesize(InverseForm(field, [0, 1]), basis),
+            lambda: synthesize(InverseForm(field, [1, 1]), (basis[0], Form(field, [1, 0, 0]))),
+        ]
+        for case in cases:
+            shipped, on_lists = _shipped_and_on_lists(lambda: _outcome(case))
+            assert shipped == on_lists and shipped[0] == "EngineError"
 
 
 def test_packed_engine_matches_generic_exhaustively():
