@@ -20,29 +20,32 @@ prefix is floor((n + 1) / 2); ``is_plcp`` tests that via the profile and
 independently via the equivalent shift pattern of the construction, and
 insists the two agree.
 
-Over GF(p) with p below 2^63, ``VOPState`` itself (and so ``synthesize``)
-keeps f and g as slot vectors, one int each with a residue per slot
-(:class:`~seqideal.field.SlotVectors`), so an update is one Barrett pass
-over every coefficient; GF(2), QQ and larger primes keep lists that the
-field's ``submul_at`` updates.  On both kinds the discrepancy dots f's
-coefficient list, unpacked once per update, with the sequence.
-
-Over GF(2), ``synthesize_packed`` runs the same construction on
-bit-packed forms (a :func:`~seqideal.field.pack_bits` mask and a total
-degree, read back by :func:`packed_form`; the Rueppel loops use the same
-format): a discrepancy is the parity of an AND and an update is an XOR
-of shifted ints.  Over QQ, ``synthesize_rational`` runs it fraction-free
-on primitive integer forms over their leading entries, with integer
-pivots as multipliers and one divmod pass per step for the content.  Both
-return exactly what ``synthesize`` returns, which stays the generic
-engine and the reference for them; ``linear_complexity`` and
-``minimal_polynomial`` pick the engine from the field.
+One loop, in :class:`VOPState`, owns the inductive step for every engine:
+the zero prefix, the basis, the profile entries, the swap rule and the
+bookkeeping of |g| - |f|.  A kernel per representation of f and g
+supplies the rest: the discrepancy at step t, the update f - q x^k g
+(q the discrepancy over the pivot) with or without the swap, and the
+conversion to and from the coefficient lists of forms.  ``VOPState``
+and so ``synthesize`` run on lists that the field's ``submul_at``
+updates, or over GF(p) with p below 2^63 on slot vectors, one int each
+with a residue per slot (:class:`~seqideal.field.SlotVectors`), so an
+update is one Barrett pass.  The fast entries run that loop once to
+the end, never one ``advance`` per term, each on its own kernel:
+``synthesize_packed`` over GF(2) on bit-packed forms (a
+:func:`~seqideal.field.pack_bits` mask, read back by
+:func:`packed_form`; the Rueppel loops use the same format), where a
+discrepancy is the parity of an AND and an update an XOR of shifted
+ints; ``synthesize_rational`` over QQ on primitive integer vectors; and
+``random_plcp_sequence`` on bit-packed forms over a sequence it writes
+as it goes.  They return exactly what ``synthesize`` returns;
+``linear_complexity`` and ``minimal_polynomial`` pick the kernel from
+the field.
 
 Setting the environment variable SEQIDEAL_DEBUG_ASSERTS=1 makes every
-step re-verify the pair invariants (leading/monic/z-divisibility, degree
-sum, annihilation, coprimality).  That turns the engine cubic; it is a
-debugging aid, not a production mode.  It also makes every fast-engine
-result be checked against ``synthesize``.
+``advance`` re-verify the pair invariants (leading/monic/z-divisibility,
+degree sum, annihilation, coprimality).  That turns the engine cubic; it
+is a debugging aid, not a production mode.  It also makes every
+fast-engine result be checked against ``synthesize``.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ from .bivariate import (
     Form,
     InverseForm,
     UniPoly,
+    _check_same_field,
     apply,
     dehomogenize,
     discrepancy_window,
@@ -128,22 +132,36 @@ def _debug_enabled() -> bool:
     return os.environ.get("SEQIDEAL_DEBUG_ASSERTS") == "1"
 
 
-def _checked_basis(basis: tuple[Form, Form], t0: int) -> tuple[Form, Form]:
-    """A caller's starting pair (f, g), once the first nonzero term is
-    known to sit at index t0; raises EngineError unless t0 is 0 and the
-    pair is valid for the one-term prefix."""
+def _checked_basis(basis: tuple[Form, Form], t0: int, field: Field):
+    """A caller's pair (f, g) over field for the one-term prefix, once the
+    first nonzero term is known to sit at index t0: f's coefficients, g's
+    up to its last nonzero one, and |g|.  Raises FieldMismatchError for a
+    pair over another field and EngineError for one that does not apply."""
+    bf, bg = basis
+    _check_same_field(bf.field, field)
+    _check_same_field(bg.field, field)
     if t0 != 0:
         raise EngineError("a custom basis only applies when the first term is nonzero")
-    bf, bg = basis
     if not (bf.in_ll and bf.is_monic and bg.z_divides and bg.is_monic
             and bf.degree >= 1 and bf.degree + bg.degree == 2):
         raise EngineError("custom basis is not a valid pair for one term")
-    return bf, bg
+    top = max(i for i, c in enumerate(bg.coeffs) if not field.is_zero(c))
+    return bf.coeffs, bg.coeffs[: top + 1], bg.degree
+
+
+# -- kernels ------------------------------------------------------------------
+#
+# A kernel holds f and g as vectors of one representation.  pack and unpack
+# convert a coefficient list to a vector and back (up to the last nonzero
+# entry), and copy forks a vector.  disc(buf, t, f, fdeg) is the discrepancy
+# of f, of total degree fdeg, against s_0..s_t, buf holding the pushed terms;
+# update(f, g, d, delta, dp) is f - (delta / dp) x^-d g for d <= 0, else
+# x^d f - (delta / dp) g, and leaves g as it is.
 
 
 class _ListVectors:
-    """f and g as lists of raw coefficients, updated in place by the
-    field's own kernel: the vector kind of fields without slots."""
+    """The list kernel: raw coefficient lists that the field's own kernels
+    update in place; the kernel of fields without slots."""
 
     def __init__(self, field: Field):
         self.field = field
@@ -161,13 +179,123 @@ class _ListVectors:
         self.field.submul_at(f, k, g, q)
         return f
 
+    def disc(self, buf, t: int, f, fdeg: int):
+        return discrepancy_window(self.field, self.unpack(f), buf, t + 1)
+
+    def update(self, f, g, d: int, delta, dp):
+        q = self.field.div(delta, dp)
+        return self.submul(f, -d, g, q) if d <= 0 else self.submul(self.shift(f, d), 0, g, q)
+
+
+class _SlotKernel(SlotVectors):
+    """GF(p) slot vectors with the list kernel's step: the discrepancy dots
+    f's unpacked residues, and an update is one Barrett pass."""
+
+    def __init__(self, field: Field):
+        super().__init__(field.p)
+        self.field = field
+
+    disc, update = _ListVectors.disc, _ListVectors.update
+
 
 def _vectors(field: Field):
-    """The vector kind of a state over field: slots over GF(p) for p below
+    """The kernel of a state over field: slots over GF(p) for p below
     2^63, where a slot takes one or two 64-bit words, else lists."""
     if field.kind == "gfp" and field.p < 1 << 63:
-        return SlotVectors(field.p)
+        return _SlotKernel(field)
     return _ListVectors(field)
+
+
+class _PackedBits:
+    """GF(2) vectors as ints, bit i the x^i coefficient, over the sequence
+    packed alike: a discrepancy is the parity of an AND, an update one XOR."""
+
+    field = GF2
+    pack, copy = staticmethod(pack_bits), staticmethod(int)
+
+    def __init__(self, seq):
+        self.s = pack_bits(seq)
+
+    @staticmethod
+    def unpack(v: int) -> list:
+        return unpack_bits(v, v.bit_length())
+
+    def disc(self, buf, t: int, f: int, fdeg: int) -> int:
+        return (f & (self.s >> (t - fdeg))).bit_count() & 1
+
+    @staticmethod
+    def update(f: int, g: int, d: int, delta, dp) -> int:
+        return f ^ (g << -d) if d <= 0 else (f << d) ^ g
+
+
+class _PerfectProfileBits(_PackedBits):
+    """The packed kernel over a sequence it writes as it goes: the
+    discrepancy at step t is to be 1 at even t and a draw from rng at odd
+    t.  s_t enters it through f's leading bit, so bit t is that target
+    XOR the parity taken with bit t still 0."""
+
+    def __init__(self, rng):
+        self.s, self.rng = 1, rng
+
+    def disc(self, buf, t: int, f: int, fdeg: int) -> int:
+        delta = 1 if t % 2 == 0 else self.rng.randrange(2)
+        self.s |= (delta ^ (f & (self.s >> (t - fdeg))).bit_count() & 1) << t
+        return delta
+
+
+def _primitive(v: list) -> list:
+    """The integer vector v (v[-1] nonzero) divided by its content, in one
+    divmod pass: an entry the candidate content does not divide shrinks
+    it by one gcd and rescales the quotients so far by the ratio."""
+    c = gcd(v[-1], v[0], v[len(v) // 2])
+    out = []
+    for i, x in enumerate(v):
+        if c == 1:
+            return out + v[i:]
+        q, r = divmod(x, c)
+        if r:
+            c2 = gcd(c, r)
+            out = [y * (c // c2) for y in out]
+            q, c = x // c2, c2
+        out.append(q)
+    return out
+
+
+class _PrimitiveVectors:
+    """QQ vectors fraction-free: a form is a primitive integer vector v
+    over v[-1], and the sequence is scaled to integers s by the lcm L of
+    its denominators.  A discrepancy is the integer dot e of v with a
+    window of s, over L v[-1]; an update is e_g x^max(d,0) f minus
+    e_f x^max(-d,0) g, made primitive.  No vector changes in place."""
+
+    field = QQ
+    copy = staticmethod(list)
+
+    def __init__(self, seq):
+        self.L = L = lcm(*(a.denominator for a in seq))
+        self.s = [a.numerator * (L // a.denominator) for a in seq]
+
+    @staticmethod
+    def pack(coeffs) -> list:
+        m = lcm(*(c.denominator for c in coeffs))
+        return _primitive([c.numerator * (m // c.denominator) for c in coeffs])
+
+    @staticmethod
+    def unpack(v: list) -> list:
+        return [Fraction(c, v[-1]) for c in v]
+
+    def disc(self, buf, t: int, f: list, fdeg: int) -> Fraction:
+        return Fraction(sum(map(mul, f, self.s[t - fdeg : t + 1])), self.L * f[-1])
+
+    def update(self, f: list, g: list, d: int, delta, dp) -> list:
+        # the integer dots behind delta = ef / (L f[-1]) and dp = eg / (L g[-1])
+        L = self.L
+        ef = delta.numerator * (L * f[-1] // delta.denominator)
+        eg = dp.numerator * (L * g[-1] // dp.denominator)
+        new = [0] * max(d, 0) + [eg * c for c in f]
+        k = max(-d, 0)
+        new[k : k + len(g)] = [x - ef * c for x, c in zip(new[k:], g)]
+        return _primitive(new)
 
 
 class VOPState:
@@ -185,11 +313,10 @@ class VOPState:
         self._buf: list = []          # all pushed terms, raw
         self._consumed = 0            # how many terms the pair accounts for
         self._active = False          # basis found (first nonzero term seen)
-        self._vec = _vectors(field)   # list or slot vectors, per field
+        self._vec = _vectors(field)   # the kernel: list or slot vectors, per field
         self._fv = self._vec.pack([field.one])  # f as a vector
         self._gv = self._vec.pack([field.one])  # g's x-coefficients as a vector
-        # f's coefficients by x-exponent as a list; _fv itself on lists
-        self._f: list = self._vec.unpack(self._fv)
+        self._fdeg = 0                # total degree of f
         self._gdeg = 1                # total degree of g
         self._d = 1                   # |g| - |f|
         self._dp = field.one          # last pivot discrepancy, never zero
@@ -223,32 +350,33 @@ class VOPState:
     def d(self) -> int:
         return self._d
 
+    @property
+    def _f(self) -> list:
+        """f's coefficients by x-exponent; the vector itself on lists."""
+        return self._vec.unpack(self._fv)
+
+    def _form(self, v, deg: int) -> Form:
+        c = self._vec.unpack(self._vec.copy(v))
+        c += [self.field.zero] * (deg + 1 - len(c))
+        return Form._raw(self.field, c)
+
     def f_form(self) -> Form:
-        return Form._raw(self.field, list(self._f))
+        return self._form(self._fv, self._fdeg)
 
     def g_form(self) -> Form:
-        g = self._vec.unpack(self._gv)
-        return Form._raw(self.field, g + [self.field.zero] * (self._gdeg + 1 - len(g)))
+        return self._form(self._gv, self._gdeg)
 
     def vop(self) -> VOP:
         return VOP(self.f_form(), self.g_form(), degenerate=not self._active)
 
     def copy(self) -> "VOPState":
         other = VOPState.__new__(VOPState)
-        other.field = self.field
-        other._buf = list(self._buf)
-        other._consumed = self._consumed
-        other._active = self._active
-        other._vec = vec = self._vec
-        other._fv = vec.copy(self._fv)
-        other._gv = vec.copy(self._gv)
-        other._f = vec.unpack(other._fv)
-        other._gdeg = self._gdeg
-        other._d = self._d
-        other._dp = self._dp
-        other.profile = list(self.profile)
+        other.field, other._vec, other._debug = self.field, self._vec, self._debug
+        other._buf, other.profile = list(self._buf), list(self.profile)
         other.trace = None if self.trace is None else list(self.trace)
-        other._debug = self._debug
+        other._consumed, other._active = self._consumed, self._active
+        other._fv, other._gv = self._vec.copy(self._fv), self._vec.copy(self._gv)
+        other._fdeg, other._gdeg, other._d, other._dp = self._fdeg, self._gdeg, self._d, self._dp
         return other
 
     # -- the inductive step ------------------------------------------------
@@ -257,83 +385,73 @@ class VOPState:
         """Consume one pending term."""
         if self.pending <= 0:
             raise EngineError("no pending terms to consume")
-        field = self.field
-        t = self._consumed  # index of the term being consumed
-        a = self._buf[t]
-
-        if not self._active:
-            if t >= 1:
-                # all-zero prefix so far: the degenerate pair (1, z^(t+1))
-                self.profile.append(ProfileEntry(t - 1, 0, a, t + 1))
-            if field.is_zero(a):
-                self._gdeg += 1
-                self._d += 1
-                self._consumed += 1
-                return self
-            # basis: first nonzero term at index t gives order v = -t,
-            # and the starting pair is (x^(1-v), z) unless the caller
-            # supplied another valid pair for the one-term prefix
-            v = -t
-            if self._basis is not None:
-                bf, bg = _checked_basis(self._basis, t)
-                f = bf.coeffs
-                top = max(i for i, c in enumerate(bg.coeffs) if not field.is_zero(c))
-                g = bg.coeffs[: top + 1]
-                self._gdeg = bg.degree
-                self._d = bg.degree - bf.degree
+        t, was_active, dp = self._consumed, self._active, self._dp
+        self._drive(t + 1)
+        if self.trace is not None and self._active:
+            if was_active:
+                e = self.profile[-1]
+                row = StepRecord(t, e.d, dp, e.delta, self.field.div(e.delta, dp),
+                                 self.f_form(), self.g_form())
             else:
-                f = [field.zero] * (1 - v) + [field.one]
-                g = [field.one]
-                self._gdeg = 1
-                self._d = v
-            self._fv, self._gv = self._vec.pack(f), self._vec.pack(g)
-            self._f = self._vec.unpack(self._fv)
-            # the cogenerator's own discrepancy against the next prefix is
-            # the first nonzero term itself (z-shifting each augmentation
-            # keeps it constant until a pivot swap replaces it), so an
-            # unnormalized leading term lands in the pivot here
-            self._dp = a
-            self._active = True
-            self._consumed += 1
-            if self.trace is not None:
-                self.trace.append(
-                    StepRecord(t, None, self._dp, None, None, self.f_form(), self.g_form())
-                )
-            if self._debug:
-                self._assert_invariants()
-            return self
-
-        n_new = t + 1  # prefix length after this step
-        k = t - 1      # index of the discrepancy being resolved
-        d = self._d
-        dp = self._dp
-        delta = discrepancy_window(field, self._f, self._buf, n_new)
-        q = field.div(delta, dp)
-        fdeg = len(self._f) - 1
-        self.profile.append(ProfileEntry(k, fdeg, delta, d))
-
-        if not field.is_zero(delta):
-            vec = self._vec
-            if d <= 0:
-                self._fv = vec.submul(self._fv, -d, self._gv, q)
-            else:
-                new_f = vec.submul(vec.shift(self._fv, d), 0, self._gv, q)
-                self._fv, self._gv = new_f, self._fv
-                self._gdeg = fdeg
-                self._dp = delta
-                self._d = -d
-            self._f = vec.unpack(self._fv)
-        self._gdeg += 1
-        self._d += 1
-        self._consumed += 1
-
-        if self.trace is not None:
-            self.trace.append(
-                StepRecord(t, d, dp, delta, q, self.f_form(), self.g_form())
-            )
+                row = StepRecord(t, None, self._dp, None, None, self.f_form(), self.g_form())
+            self.trace.append(row)
         if self._debug:
             self._assert_invariants()
         return self
+
+    def _drive(self, stop: int):
+        """Consume the terms before index stop, one inductive step each,
+        on the state's kernel; the fast entries call this once."""
+        buf, profile = self._buf, self.profile
+        t = self._consumed
+        while not self._active:
+            if t == stop:
+                return
+            # after t zero terms the pair is the degenerate (1, z^(t+1)),
+            # and term t is the discrepancy it meets
+            a = buf[t]
+            if t:
+                profile.append(ProfileEntry(t - 1, 0, a, t + 1))
+            if a:  # raw values are ints or Fractions, so zero is falsy
+                self._start(t, a)
+            else:
+                self._gdeg = self._d = t + 2
+            self._consumed = t = t + 1
+        vec = self._vec
+        disc, update = vec.disc, vec.update
+        f, g, fdeg, gdeg, d, dp = self._fv, self._gv, self._fdeg, self._gdeg, self._d, self._dp
+        for t in range(t, stop):
+            delta = disc(buf, t, f, fdeg)
+            profile.append(ProfileEntry(t - 1, fdeg, delta, d))
+            if delta:
+                if d <= 0:
+                    f = update(f, g, d, delta, dp)
+                else:
+                    # the swap: f grows to |g|, and the old f is the new g
+                    f, g = update(f, g, d, delta, dp), f
+                    fdeg, gdeg, dp, d = fdeg + d, fdeg, delta, -d
+            gdeg += 1
+            d += 1
+        self._fv, self._gv, self._fdeg, self._gdeg, self._d, self._dp = f, g, fdeg, gdeg, d, dp
+        self._consumed = stop
+
+    def _start(self, t: int, a):
+        """The basis at the first nonzero term a = s_t: order v = -t gives
+        (x^(1-v), z), unless the caller supplied another valid pair for
+        the one-term prefix."""
+        field, vec = self.field, self._vec
+        if self._basis is None:
+            f, g, gdeg = [field.zero] * (t + 1) + [field.one], [field.one], 1
+        else:
+            f, g, gdeg = _checked_basis(self._basis, t, field)
+        self._fv, self._gv = vec.pack(f), vec.pack(g)
+        self._fdeg, self._gdeg, self._d = len(f) - 1, gdeg, gdeg - len(f) + 1
+        # the cogenerator's own discrepancy against the next prefix is the
+        # first nonzero term itself (z-shifting each augmentation keeps it
+        # constant until a pivot swap replaces it), so an unnormalized
+        # leading term lands in the pivot here
+        self._dp = a
+        self._active = True
 
     def run(self) -> "VOPState":
         while self.pending:
@@ -344,9 +462,7 @@ class VOPState:
         """Profile including the closing entry for the full prefix."""
         out = list(self.profile)
         if self._consumed:
-            out.append(
-                ProfileEntry(self._consumed - 1, len(self._f) - 1, None, self._d)
-            )
+            out.append(ProfileEntry(self._consumed - 1, self._fdeg, None, self._d))
         return out
 
     # -- slow invariant checks (debug mode) --------------------------------
@@ -376,13 +492,6 @@ class VOPState:
 # -- module-level operations ----------------------------------------------
 
 
-def _run(F: InverseForm, trace: bool, basis=None):
-    state = VOPState(F.field, trace=trace, basis=basis)
-    state.push_many(F.seq)
-    state.run()
-    return state
-
-
 def synthesize(F: InverseForm, basis: Optional[tuple[Form, Form]] = None):
     """Full synthesis: returns (vop, profile).
 
@@ -392,13 +501,13 @@ def synthesize(F: InverseForm, basis: Optional[tuple[Form, Form]] = None):
     ``basis``; later pairs (though not the linear complexity) depend on
     that choice.
     """
-    state = _run(F, trace=False, basis=basis)
+    state = VOPState(F.field, basis=basis).push_many(F.seq).run()
     return state.vop(), state.finish_profile()
 
 
 def synthesize_trace(F: InverseForm, basis: Optional[tuple[Form, Form]] = None):
     """Like :func:`synthesize` but also returns the per-step trace rows."""
-    state = _run(F, trace=True, basis=basis)
+    state = VOPState(F.field, trace=True, basis=basis).push_many(F.seq).run()
     return state.vop(), state.finish_profile(), list(state.trace or [])
 
 
@@ -408,140 +517,37 @@ def packed_form(mask: int, deg: int) -> Form:
     return Form._raw(GF2, unpack_bits(mask, deg + 1))
 
 
-def _zero_prefix(seq, profile: list) -> int:
-    """Index t0 of the first nonzero term (len(seq) when there is none).
-
-    Appends the profile entries of the all-zero prefix: after t zero
-    terms the pair is the degenerate (1, z^(t+1)), and the entry records
-    term t as the discrepancy it meets.  When every term is zero this
-    also appends the closing entry, and the result is
-    :func:`_degenerate_vop`.
-    """
-    n = len(seq)
-    t0 = 0
-    while t0 < n and not seq[t0]:
-        t0 += 1
-    for t in range(1, min(t0 + 1, n)):
-        profile.append(ProfileEntry(t - 1, 0, seq[t], t + 1))
-    if t0 == n:
-        profile.append(ProfileEntry(n - 1, 0, None, n + 1))
-    return t0
-
-
-def _degenerate_vop(field: Field, n: int) -> VOP:
-    """The all-zero convention f = 1, g = z^(n+1)."""
-    g = Form._raw(field, [field.one] + [field.zero] * (n + 1))
-    return VOP(Form._raw(field, [field.one]), g, degenerate=True)
+def _driven(vec, seq, n: int, basis=None) -> VOPState:
+    """A state on the kernel vec over the checked terms seq, driven to
+    term n in one run of the loop, never one advance() per term."""
+    one = vec.field.one
+    state = VOPState(vec.field, basis=basis)
+    state._vec, state._buf = vec, seq
+    state._fv, state._gv = vec.pack([one]), vec.pack([one])
+    state._drive(n)
+    return state
 
 
 def synthesize_packed(F: InverseForm, basis: Optional[tuple[Form, Form]] = None):
-    """:func:`synthesize` over GF(2) on bit-packed forms; returns the same
-    (vop, profile), bit for bit, and raises the same EngineError for a
-    ``basis`` that does not apply.
-
-    f, g and the sequence are ints (bit i is the x^i coefficient, or
-    s_i), so the discrepancy is the parity of ``f & (s >> off)`` and the
-    update is one XOR of a shifted g.  The branches are those of
-    :meth:`VOPState.advance`, and ``basis`` only changes the starting
-    pair; there is no trace or streaming here, and no per-step debug
-    checks.
-    """
+    """:func:`synthesize` over GF(2) on the packed kernel; returns the
+    same (vop, profile), bit for bit, and raises the same errors for a
+    ``basis`` that does not apply.  There is no trace or streaming here,
+    and no per-step debug checks."""
     if F.field != GF2:
         raise EngineError(f"the packed engine needs GF(2), got {F.field.name}")
-    seq = F.seq
-    n = len(seq)
-    profile: list[ProfileEntry] = []
-    t0 = _zero_prefix(seq, profile)
-    if t0 == n:
-        return _degenerate_vop(GF2, n), profile
-    # basis (x^(1+t0), z) for the first nonzero term s_t0, or the
-    # caller's, then one step per term; |f| + |g| = t + 1 with |g| >= 1
-    # keeps the offset t - |f| of the discrepancy window non-negative
-    s = pack_bits(seq)
-    if basis is None:
-        f, fdeg, g, gdeg, d = 1 << (t0 + 1), t0 + 1, 1, 1, -t0
-    else:
-        bf, bg = _checked_basis(basis, t0)
-        f, fdeg, g, gdeg = pack_bits(bf.coeffs), bf.degree, pack_bits(bg.coeffs), bg.degree
-        d = gdeg - fdeg
-    for t in range(t0 + 1, n):
-        delta = (f & (s >> (t - fdeg))).bit_count() & 1
-        profile.append(ProfileEntry(t - 1, fdeg, delta, d))
-        if delta:
-            if d <= 0:
-                f ^= g << -d
-            else:
-                f, fdeg, g, gdeg, d = (f << d) ^ g, fdeg + d, f, fdeg, -d
-        gdeg += 1
-        d += 1
-    profile.append(ProfileEntry(n - 1, fdeg, None, d))
-    return VOP(packed_form(f, fdeg), packed_form(g, gdeg)), profile
-
-
-def _primitive(v: list) -> list:
-    """The integer vector v (v[-1] nonzero) divided by its content, in one
-    divmod pass: an entry the candidate content does not divide shrinks
-    it by one gcd and rescales the quotients so far by the ratio."""
-    c = gcd(v[-1], v[0], v[len(v) // 2])
-    out = []
-    for i, x in enumerate(v):
-        if c == 1:
-            return out + v[i:]
-        q, r = divmod(x, c)
-        if r:
-            c2 = gcd(c, r)
-            out = [y * (c // c2) for y in out]
-            q, c = x // c2, c2
-        out.append(q)
-    return out
+    state = _driven(_PackedBits(F.seq), F.seq, F.n, basis)
+    return state.vop(), state.finish_profile()
 
 
 def synthesize_rational(F: InverseForm):
-    """:func:`synthesize` over QQ, fraction-free; returns the same
-    (vop, profile), with equal reduced fractions in f, g and every
-    profile delta.
-
-    The sequence is scaled to integers s by the lcm L of its
-    denominators.  f is the primitive integer vector fn over fn[-1] (f is
-    monic), which holds the numerators of f's reduced fractions up to
-    sign; g is gn over gn[-1], with the integer pivot eg met when g was
-    f.  A discrepancy is the integer dot ef of fn with a window of s, and
-    the update f - (delta / delta') x^k g is, up to a scalar,
-    eg x^max(d,0) fn - ef x^max(-d,0) gn, made primitive by
-    :func:`_primitive`.  The branches are those of
-    :meth:`VOPState.advance` with the standard basis; there is no trace,
-    custom basis or streaming here, and no per-step debug checks.
-    """
+    """:func:`synthesize` over QQ on the fraction-free kernel; returns
+    the same (vop, profile), with equal reduced fractions in f, g and
+    every profile delta.  The basis is the standard one; there is no
+    trace or streaming here, and no per-step debug checks."""
     if F.field != QQ:
         raise EngineError(f"the rational engine needs QQ, got {F.field.name}")
-    seq = F.seq
-    n = len(seq)
-    profile: list[ProfileEntry] = []
-    t0 = _zero_prefix(seq, profile)
-    if t0 == n:
-        return _degenerate_vop(QQ, n), profile
-    L = lcm(*(a.denominator for a in seq))
-    s = [a.numerator * (L // a.denominator) for a in seq]
-    # the basis is (x^(1+t0), z), and g's pivot is the first nonzero term
-    fn = [0] * (t0 + 1) + [1]
-    gn, eg, gdeg, d = [1], s[t0], 1, -t0
-    for t in range(t0 + 1, n):
-        fdeg = len(fn) - 1
-        ef = sum(map(mul, fn, s[t - fdeg : t + 1]))
-        profile.append(ProfileEntry(t - 1, fdeg, Fraction(ef, L * fn[-1]), d))
-        if ef:
-            new = [0] * max(d, 0) + [eg * c for c in fn]
-            k = max(-d, 0)
-            new[k : k + len(gn)] = [x - ef * c for x, c in zip(new[k:], gn)]
-            if d > 0:
-                gn, eg, gdeg, d = fn, ef, fdeg, -d
-            fn = _primitive(new)
-        gdeg += 1
-        d += 1
-    profile.append(ProfileEntry(n - 1, len(fn) - 1, None, d))
-    f = Form._raw(QQ, [Fraction(c, fn[-1]) for c in fn])
-    g = Form._raw(QQ, [Fraction(c, gn[-1]) for c in gn] + [QQ.zero] * (gdeg + 1 - len(gn)))
-    return VOP(f, g), profile
+    state = _driven(_PrimitiveVectors(F.seq), F.seq, F.n)
+    return state.vop(), state.finish_profile()
 
 
 def _synthesize_fast(F: InverseForm):
@@ -680,18 +686,6 @@ def random_plcp_sequence(n: int, seed: int = 0) -> list[int]:
 
     if n < 1:
         raise EngineError("need n >= 1")
-    rng = _random.Random(seed)
-    # synthesize_packed's pair after s_0 = 1: s_t enters the discrepancy
-    # through f's leading bit, so s_t is the target plus the parity taken
-    # with bit t still 0, and the discrepancy comes out as the target
-    s, f, fdeg, g, d = 1, 2, 1, 1, 0
-    for t in range(1, n):
-        delta = 1 if t % 2 == 0 else rng.randrange(2)
-        s |= (delta ^ (f & (s >> (t - fdeg))).bit_count() & 1) << t
-        if delta:
-            if d <= 0:
-                f ^= g << -d
-            else:
-                f, fdeg, g, d = (f << d) ^ g, fdeg + d, f, -d
-        d += 1
-    return unpack_bits(s, n)
+    vec = _PerfectProfileBits(_random.Random(seed))
+    _driven(vec, [1], n)  # s_0 = 1 gives the basis; the kernel writes the rest
+    return unpack_bits(vec.s, n)

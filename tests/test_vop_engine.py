@@ -13,6 +13,7 @@ from seqideal import (
     QQ,
     EngineError,
     FieldError,
+    FieldMismatchError,
     Form,
     InverseForm,
     VOPState,
@@ -142,6 +143,25 @@ def test_library_helpers_use_the_fast_engines(monkeypatch):
         linear_complexity([1, 2, 0, 4], GF(5))
     with pytest.raises(RuntimeError, match="generic engine"):
         minimal_polynomial([1, 2, 0, 4], GF(5))
+
+
+def test_fast_entries_run_one_loop_not_one_advance_per_term(monkeypatch):
+    # the packed, fraction-free and perfect-profile entries drive their
+    # kernel to the end in one loop, never through VOPState.advance, which
+    # counts streamed terms only
+    F96, FQ = rueppel_inverse_form(96), InverseForm(QQ, FITZ)
+    want = [synthesize(F96, basis=rueppel_basis()), synthesize(FQ),
+            _random_plcp_on_vopstate(300, 7)]
+
+    def no_advance(self):
+        raise RuntimeError("VOPState.advance called")
+
+    monkeypatch.setattr(VOPState, "advance", no_advance)
+    got = [synthesize_packed(F96, basis=rueppel_basis()), synthesize_rational(FQ),
+           random_plcp_sequence(300, 7)]
+    assert got == want
+    with pytest.raises(RuntimeError, match="advance called"):
+        synthesize(FQ)
 
 
 def test_profile_lambdas_are_prefix_complexities():
@@ -689,8 +709,11 @@ def test_debug_asserts_run(monkeypatch):
 
 
 def test_custom_basis_validation():
-    # both engines check the basis in one place and say the same
-    for engine in (synthesize, synthesize_packed):
+    # every engine checks the basis in one place and says the same
+    def streamed(F, basis):
+        return VOPState(F.field, basis=basis).push_many(F.seq).run()
+
+    for engine in (synthesize, synthesize_packed, streamed):
         with pytest.raises(EngineError, match="only applies when the first term is nonzero"):
             engine(
                 InverseForm(GF2, [0, 1]), basis=rueppel_basis()
@@ -700,6 +723,16 @@ def test_custom_basis_validation():
                 InverseForm(GF2, [1, 1]),
                 basis=(Form(GF2, [0, 1]), Form(GF2, [1, 0, 0])),  # degrees sum to 3
             )
+        # a pair over another field is refused, not taken over
+        with pytest.raises(FieldMismatchError, match="cannot mix"):
+            engine(
+                InverseForm(GF2, [1, 1, 0, 1]),
+                basis=(Form(QQ, [1, 1]), Form(QQ, [1, 0])),
+            )
+    for field in (GF(5), GF(2**31 - 1), GF(2**63 + 29), QQ):
+        for engine in (synthesize, streamed):
+            with pytest.raises(FieldMismatchError, match="cannot mix"):
+                engine(InverseForm(field, [1, 1, 0, 1]), basis=rueppel_basis())
 
 
 def test_dehomogenized_f_is_a_minimal_polynomial(any_field):
