@@ -1,11 +1,13 @@
 """Exact field arithmetic for GF(2), GF(p) and the rationals.
 
-Three field kinds sit behind one interface: the two-element field, prime
-fields GF(p), and the rational numbers.  Scalars use a raw representation
-chosen per field: the ints 0/1 for GF(2), residues in [0, p) for GF(p),
-and ``fractions.Fraction`` (arbitrary precision, always reduced, positive
-denominator) for the rationals.  All arithmetic is exact; floating point
-is never used anywhere in this package.
+Two field kinds sit behind one interface: prime fields GF(p) and the
+rational numbers.  GF(2) is the prime field at p = 2; it shares GF(p)'s
+arithmetic and keeps only its own token rules and a list kernel on bits.
+Scalars use a raw representation chosen per field: residues in [0, p)
+for GF(p), so the ints 0/1 for GF(2), and ``fractions.Fraction``
+(arbitrary precision, always reduced, positive denominator) for the
+rationals.  All arithmetic is exact; floating point is never used
+anywhere in this package.
 
 A :class:`Field` instance owns the arithmetic on raw values (``add``,
 ``mul``, ``inv``, ...) plus three vector kernels on lists: :meth:`Field.dot`
@@ -32,8 +34,8 @@ with no carry from one slot into the next.
 Parsing is deliberately asymmetric.  GF(2) accepts only the literal
 tokens ``0`` and ``1``: a stray ``2`` in a keystream is a data error, not
 a residue, and coercing it would hide the bug.  GF(p) accepts a signed
-integer in ASCII decimal digits and reduces it mod p.  The rationals
-accept ``a`` or ``a/b`` with ``b != 0``.
+integer in ASCII decimal digits, of any length, and reduces it mod p.
+The rationals accept ``a`` or ``a/b`` with ``b != 0``.
 """
 
 from __future__ import annotations
@@ -114,7 +116,7 @@ class Field:
     kind: str = ""
     name: str = ""  # GF(2), GF(7) or QQ
     tag: str = ""  # short machine tag used in reports: gf2, gfp:7 or q
-    p = None  # modulus for prime fields, None otherwise
+    p = None  # the modulus of GF(p), 2 for GF(2); None only for QQ
 
     # -- identity ------------------------------------------------------
 
@@ -202,74 +204,10 @@ class Field:
                 return a
 
 
-class _GF2(Field):
-    kind = "gf2"
-    name = "GF(2)"
-    tag = "gf2"
-    order = 2
-
-    def add(self, a, b):
-        return a ^ b
-
-    sub = add
-
-    def mul(self, a, b):
-        return a & b
-
-    def neg(self, a):
-        return a
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero in GF(2)")
-        return 1
-
-    def div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero in GF(2)")
-        return a
-
-    def dot(self, u, v):
-        return sum(map(operator.and_, u, v)) & 1
-
-    def submul_at(self, dst, offset, src, q):
-        if not q:
-            return
-        j = offset
-        for s in src:
-            if s:
-                dst[j] ^= 1
-            j += 1
-
-    def coerce_all(self, values) -> list:
-        xs = list(values)
-        if set(map(type, xs)) <= {int, bool} and set(xs) <= {0, 1}:
-            return list(map(int, xs))
-        return super().coerce_all(xs)  # raises at the first bad value
-
-    def coerce(self, x):
-        if isinstance(x, bool):
-            return int(x)
-        if isinstance(x, int) and x in (0, 1):
-            return x
-        raise FieldError(f"not a GF(2) value: {x!r}")
-
-    def parse(self, text: str):
-        if text == "0":
-            return 0
-        if text == "1":
-            return 1
-        raise ParseError(f"GF(2) accepts only the tokens 0 and 1, got {text!r}")
-
-    def elements(self):
-        yield 0
-        yield 1
-
-    def random(self, rng):
-        return rng.randrange(2)
-
-
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+# int() converts this many decimal digits under any digit limit
+# (sys.int_info.str_digits_check_threshold)
+_CHUNK = 640
 
 
 class _PrimeField(Field):
@@ -319,13 +257,57 @@ class _PrimeField(Field):
         # int alone would also take 1_000, spaces and non-ASCII digits
         if not _INTEGER.fullmatch(text):
             raise ParseError(f"not an integer for {self.name}: {text!r}")
-        return int(text) % self.p
+        if len(text) <= _CHUNK:
+            return int(text) % self.p
+        p, r = self.p, 0
+        digits = text.lstrip("+-")
+        for i in range(0, len(digits), _CHUNK):  # Horner, a chunk at a time
+            chunk = digits[i : i + _CHUNK]
+            r = (r * 10 ** len(chunk) + int(chunk)) % p
+        return -r % p if text[0] == "-" else r
 
     def elements(self):
         return iter(range(self.p))
 
     def random(self, rng):
         return rng.randrange(self.p)
+
+
+class _GF2(_PrimeField):
+    kind = "gf2"
+
+    def __init__(self):
+        super().__init__(2)
+        self.tag = "gf2"
+
+    def submul_at(self, dst, offset, src, q):
+        if not q:
+            return
+        j = offset
+        for s in src:
+            if s:
+                dst[j] ^= 1
+            j += 1
+
+    def coerce_all(self, values) -> list:
+        xs = list(values)
+        if set(map(type, xs)) <= {int, bool} and set(xs) <= {0, 1}:
+            return list(map(int, xs))
+        return super().coerce_all(xs)  # raises at the first bad value
+
+    def coerce(self, x):
+        if isinstance(x, bool):
+            return int(x)
+        if isinstance(x, int) and x in (0, 1):
+            return x
+        raise FieldError(f"not a GF(2) value: {x!r}")
+
+    def parse(self, text: str):
+        if text == "0":
+            return 0
+        if text == "1":
+            return 1
+        raise ParseError(f"GF(2) accepts only the tokens 0 and 1, got {text!r}")
 
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
@@ -387,8 +369,14 @@ class _Rationals(Field):
             raise ParseError(f"rationals are written a or a/b, got {text!r}")
         try:
             return Fraction(text)
-        except (ValueError, ZeroDivisionError):
+        except ZeroDivisionError:
             raise ParseError(f"not a rational: {text!r}") from None
+        except ValueError:  # after the regex, only int()'s digit limit
+            n = max(map(len, text.lstrip("+-").split("/")))
+            raise ParseError(
+                f"rationals take at most {sys.get_int_max_str_digits()} digits"
+                f" in a and in b, got {n}"
+            ) from None
 
     def random(self, rng):
         return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
@@ -397,13 +385,11 @@ class _Rationals(Field):
 GF2 = _GF2()
 QQ = _Rationals()
 
-_prime_fields: dict[int, _PrimeField] = {}
+_prime_fields: dict[int, _PrimeField] = {2: GF2}
 
 
 def GF(p: int) -> Field:
-    """Return the field with p elements (p prime); GF(2) is a singleton."""
-    if p == 2:
-        return GF2
+    """Return the field with p elements (p prime), one instance per p."""
     f = _prime_fields.get(p)
     if f is None:
         f = _PrimeField(p)
@@ -422,7 +408,13 @@ def field_from_tag(tag: str) -> Field:
             raise FieldError(
                 f"field {tag!r} needs a decimal modulus (use gf2, gfp:<p> or q)"
             )
-        return GF(int(tag[4:]))
+        digits = tag[4:].lstrip("0") or "0"
+        if len(digits) > len(str(PRIME_BOUND)):  # int() may refuse that many
+            raise FieldError(
+                f"prime moduli must be below {PRIME_BOUND},"
+                f" got a {len(digits)}-digit modulus"
+            )
+        return GF(int(digits))
     raise FieldError(f"unknown field {tag!r} (use gf2, gfp:<p> or q)")
 
 

@@ -293,6 +293,31 @@ def test_analyze_gfp_rejects_int_extras(tmp_path, capsys, token):
     assert err == f"{p}:1:3: not an integer for GF(7): {token!r}\n"
 
 
+def test_analyze_reduces_a_gfp_token_of_any_length(tmp_path, capsys):
+    # 5,000 digits is past int()'s default limit of 4,300
+    token = "9" * 5000
+    p = tmp_path / "in.txt"
+    outs = []
+    residue = sum(9 * pow(10, i, 7) for i in range(5000)) % 7
+    for text in (f"1 {token} 2\n", f"1 {residue} 2\n"):
+        p.write_text(text)
+        code, out, err = run_cli(capsys, "analyze", "--field", "gfp:7", "--input", str(p))
+        assert code == 0 and err == ""
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+def test_analyze_names_the_digit_limit_of_a_rational(tmp_path, capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("no integer digit limit in this interpreter")
+    p = tmp_path / "in.txt"
+    p.write_text("1/2\n3 " + "1" * (limit + 1) + "\n")
+    code, out, err = run_cli(capsys, "analyze", "--field", "q", "--input", str(p))
+    assert code == 1 and out == ""
+    assert err == f"{p}:2:3: rationals take at most {limit} digits in a and in b, got {limit + 1}\n"
+
+
 def test_analyze_gfp_2_is_gf2(capsys, monkeypatch):
     # GF(2) is a singleton, so gfp:2 parses and reports as gf2
     monkeypatch.setattr(sys, "stdin", io.StringIO("1 0 1\n"))
@@ -551,10 +576,10 @@ def test_analyze_refuses_huge_theta_enumeration(tmp_path, capsys):
 
 
 def test_analyze_rejects_a_modulus_past_the_primality_bound(capsys):
-    code, out, err = run_cli(
-        capsys, "analyze", "--field", f"gfp:{2**89 - 1}", "--input", "-"
-    )
-    assert code == 1 and out == "" and str(PRIME_BOUND) in err
+    for spec in (f"gfp:{2**89 - 1}", "gfp:" + "1" * 5000):
+        code, out, err = run_cli(capsys, "analyze", "--field", spec, "--input", "-")
+        assert code == 1 and out == "" and str(PRIME_BOUND) in err
+        assert "set_int_max_str_digits" not in err and len(err) < 200
 
 
 def test_analyze_usage_errors(capsys):

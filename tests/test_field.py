@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -73,6 +74,13 @@ def test_rationals_parse_only_a_or_a_over_b():
     for text in ("1e1000000", "1E3", "1_000", "1/-2", " 1", "1/", "/2", "\u0661", "inf", ""):
         with pytest.raises(ParseError, match="rationals are written a or a/b"):
             QQ.parse(text)
+    # past int()'s digit limit the message names the limit, not the token
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        for text in ("1" * (limit + 1), "-1/" + "2" * (limit + 1)):
+            with pytest.raises(ParseError, match=f"at most {limit} digits") as e:
+                QQ.parse(text)
+            assert f"got {limit + 1}" in str(e.value) and len(str(e.value)) < 100
 
 
 def test_prime_field_parse_only_ascii_integers():
@@ -83,6 +91,13 @@ def test_prime_field_parse_only_ascii_integers():
     for text in ("1_000", " 1", "1 ", "\u0661", "+", "-", "", "0x1", "1.0"):
         with pytest.raises(ParseError, match="not an integer for GF\\(7\\)"):
             F.parse(text)
+    # a token of any length reduces mod p, past int()'s 4300-digit limit too
+    for p in (7, 2**61 - 1):
+        for n in (640, 641, 5000, 12345):
+            digits = "".join(str((i * 7 + 3) % 10) for i in range(n))
+            want = sum(int(d) * pow(10, n - 1 - i, p) for i, d in enumerate(digits)) % p
+            assert GF(p).parse(digits) == GF(p).parse("+" + digits) == want
+            assert GF(p).parse("-" + digits) == -want % p
 
 
 def test_field_from_tag_takes_only_ascii_moduli():
@@ -91,6 +106,10 @@ def test_field_from_tag_takes_only_ascii_moduli():
     for tag in ("gfp:\u0667", "gfp:1_000_003", "gfp: 7", "gfp:7 ", "gfp:+7", "gfp:-7"):
         with pytest.raises(FieldError, match="needs a decimal modulus"):
             field_from_tag(tag)
+    # more digits than PRIME_BOUND is past the bound, before int() sees them
+    with pytest.raises(FieldError, match=f"below {PRIME_BOUND}, got a 5000-digit modulus"):
+        field_from_tag("gfp:" + "1" * 5000)
+    assert field_from_tag("gfp:" + "0" * 5000 + "7") is GF(7)
 
 
 def test_prime_check():
@@ -100,7 +119,8 @@ def test_prime_check():
         GF(9)
     with pytest.raises(FieldError):
         GF(1)
-    assert GF(2) is GF2  # the two-element field is the distinguished case
+    assert GF(2) is GF2  # the two-element field is the prime field at 2
+    assert GF2.p == 2 and GF2.order == 2
     assert GF(13).p == 13
 
 
@@ -136,6 +156,21 @@ def test_field_identity():
     assert GF(7) != GF(5)
     assert GF2 != QQ
     assert hash(GF(7)) == hash(GF(7))
+    # GF(2) keeps its own kind and tag; gfp:2 names the same field
+    assert GF2.kind == GF2.tag == "gf2" and GF2.name == "GF(2)" and GF2.order == 2
+    assert field_from_tag("gfp:2") is GF2 and GF2 != GF(3)
+    # its inherited prime-field arithmetic is XOR, AND and the identity
+    for a in (0, 1):
+        assert GF2.neg(a) == a and list(GF2.elements()) == [0, 1]
+        for b in (0, 1):
+            assert GF2.add(a, b) == GF2.sub(a, b) == a ^ b
+            assert GF2.mul(a, b) == a & b
+        assert GF2.div(a, 1) == a
+    assert GF2.inv(1) == 1
+    with pytest.raises(ZeroDivisionError):
+        GF2.inv(0)
+    with pytest.raises(ZeroDivisionError):
+        GF2.div(1, 0)
 
 
 def test_mismatched_fields_raise():
