@@ -257,8 +257,6 @@ class _PrimeField(Field):
         # int alone would also take 1_000, spaces and non-ASCII digits
         if not _INTEGER.fullmatch(text):
             raise ParseError(f"not an integer for {self.name}: {text!r}")
-        if len(text) <= _CHUNK:
-            return int(text) % self.p
         p, r = self.p, 0
         digits = text.lstrip("+-")
         for i in range(0, len(digits), _CHUNK):  # Horner, a chunk at a time
