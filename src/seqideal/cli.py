@@ -24,7 +24,6 @@ import time
 from dataclasses import dataclass
 from itertools import islice, zip_longest
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from typing import Optional, Union
 
 from .bivariate import Form, InverseForm, UniPoly, dehomogenize
@@ -140,15 +139,15 @@ class AnalysisReport:
     def to_dict(self) -> dict:
         prof = None
         if self.profile is not None:
+            fmt = self.field.format
             prof = [
-                {
-                    "k": e.k,
-                    "lambda": e.lam,
-                    "delta": None if e.delta is None else self.field.format(e.delta),
-                    "d": e.d,
-                }
-                for e in self.profile
+                {"k": k, "lambda": lam, "delta": None if delta is None else fmt(delta), "d": d}
+                for k, lam, delta, d in self.profile
             ]
+        return self._doc(prof)
+
+    def _doc(self, profile) -> dict:
+        """The report's keys in order, profile as given (rows or JSON text)."""
         if isinstance(self.theta, str):
             theta = self.theta
         else:
@@ -161,7 +160,7 @@ class AnalysisReport:
             "f": _poly_dict(self.field, self.f.coeffs),
             "g": _poly_dict(self.field, self.g.coeffs),
             "min_poly": _poly_dict(self.field, self.min_poly.coeffs),
-            "profile": prof,
+            "profile": profile,
             "plcp": self.plcp,
             "theta": theta,
         }
@@ -213,9 +212,9 @@ class AnalysisReport:
             lines.append("theta: " + ", ".join(str(t) for t in self.theta))
         if self.profile is not None:
             lines.append("profile:")
-            for e in self.profile:
-                delta = "-" if e.delta is None else self.field.format(e.delta)
-                lines.append(f"  k={e.k} lambda={e.lam} delta={delta} d={e.d}")
+            ks, lams, deltas, ds = zip(*self.profile)  # only the closing entry has no delta
+            deltas = [*map(self.field.format, deltas[:-1]), "-"]
+            lines += map("  k=%d lambda=%d delta=%s d=%d".__mod__, zip(ks, lams, deltas, ds))
         return "\n".join(lines)
 
 
@@ -246,10 +245,15 @@ def build_report(
     )
 
 
+class _Verbatim(str):
+    """JSON text written beforehand, which _json_text writes as it is."""
+
+
 # json.dumps(obj, indent=2) runs CPython's pure-Python encoder, since the C
 # one only serves indent=None; this writer gives the same text for the
-# values the CLI emits, with C-level joins over whole lists and columns
+# values the CLI emits, with C-level joins over whole lists
 _SCALARS = {
+    _Verbatim: str.__str__,
     str: encode_basestring_ascii,
     int: int.__repr__,
     bool: {True: "true", False: "false"}.__getitem__,
@@ -269,26 +273,10 @@ def _scalars_text(values: list):
     return map(_SCALARS[kinds.pop()] if len(kinds) == 1 else _scalar_text, values)
 
 
-def _rows_text(rows: list, nl: str):
-    """The text of each row when the rows are flat dicts that share one
-    tuple of str keys (the profile), column by column; else None."""
-    keys = set(map(tuple, rows)) if set(map(type, rows)) == {dict} else ()
-    cols = keys.pop() if len(keys) == 1 else ()
-    if not cols or set(map(type, cols)) != {str}:
-        return None
-    columns = [_scalars_text(list(map(itemgetter(k), rows))) for k in cols]
-    if None in columns:
-        return None
-    inner = nl + "  "
-    # one str.format template per row, so braces in the keys are doubled
-    names = [encode_basestring_ascii(k).replace("{", "{{").replace("}", "}}") for k in cols]
-    row = "{{" + ",".join(f"{inner}{k}: {{{i}}}" for i, k in enumerate(names)) + nl + "}}"
-    return map(row.format, *columns)
-
-
 def _json_text(obj, nl: str = "\n") -> str:
     """The text of json.dumps(obj, indent=2) for dicts with str keys,
-    lists, str, int, bool and None; any other type raises TypeError."""
+    lists, str, int, bool and None, and of _Verbatim text as it is; any
+    other type raises TypeError."""
     kind = type(obj)
     if kind in _SCALARS:
         return _SCALARS[kind](obj)
@@ -306,10 +294,26 @@ def _json_text(obj, nl: str = "\n") -> str:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
     if not obj:
         return "[]"
-    texts = _scalars_text(obj) or _rows_text(obj, inner)
+    texts = _scalars_text(obj)
     if texts is None:
         texts = (_json_text(v, inner) for v in obj)
     return "[" + inner + ("," + inner).join(texts) + nl + "]"
+
+
+# a profile row as json.dumps(indent=2) writes it one level inside the report
+_PROFILE_ROW = '{\n      "k": %d,\n      "lambda": %d,\n      "delta": %s,\n      "d": %d\n    }'
+
+
+def _report_json(report: AnalysisReport) -> str:
+    """The text of json.dumps(report.to_dict(), indent=2), with the
+    profile written column by column and no dict built per row."""
+    profile = None
+    if report.profile is not None:
+        ks, lams, deltas, ds = zip(*report.profile)  # only the closing entry has no delta
+        deltas = [*map(encode_basestring_ascii, map(report.field.format, deltas[:-1])), "null"]
+        rows = map(_PROFILE_ROW.__mod__, zip(ks, lams, deltas, ds))
+        profile = _Verbatim("[\n    " + ",\n    ".join(rows) + "\n  ]")
+    return _json_text(report._doc(profile))
 
 
 # -- subcommands -------------------------------------------------------------
@@ -379,7 +383,7 @@ def cmd_analyze(args) -> int:
             status = 2
 
     if args.json:
-        print(_json_text(report.to_dict()))
+        print(_report_json(report))
     else:
         print(report.render_text())
     return status

@@ -44,6 +44,7 @@ import operator
 import re
 import sys
 from array import array
+from decimal import Decimal
 from fractions import Fraction
 
 __all__ = [
@@ -375,6 +376,13 @@ class _Rationals(Field):
                 f"rationals take at most {sys.get_int_max_str_digits()} digits"
                 f" in a and in b, got {n}"
             ) from None
+
+    def format(self, a) -> str:
+        try:
+            return str(a)
+        except ValueError:  # int's str digit limit; Decimal writes any int exactly
+            num, den = str(Decimal(a.numerator)), str(Decimal(a.denominator))
+            return num if den == "1" else f"{num}/{den}"
 
     def random(self, rng):
         return Fraction(rng.randint(-9, 9), rng.randint(1, 9))

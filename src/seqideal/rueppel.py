@@ -23,7 +23,7 @@ rho^2 = x rho + 1 (rho is invertible there, with inverse rho + x).
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import compress, islice
 from typing import NamedTuple
 
 from .bivariate import Form, InverseForm
@@ -193,14 +193,9 @@ def delta_parity_check(n: int) -> bool:
     if n < 2:
         raise FieldError("need n >= 2")
     _, profile = synthesize_packed(rueppel_inverse_form(n), basis=rueppel_basis())
-    for entry in profile:
-        if entry.delta is None:
-            continue
-        if entry.delta != entry.k % 2:
-            return False
-        if entry.k % 2 == 1 and entry.d != 1:
-            return False
-    return True
+    ks, _, deltas, ds = zip(*profile[:-1])  # the closing entry has no delta
+    # column by column: delta = k mod 2, then d over the odd k alone
+    return deltas == tuple(map((2).__rmod__, ks)) and set(compress(ds, deltas)) <= {1}
 
 
 # -- the quadratic extension ------------------------------------------------

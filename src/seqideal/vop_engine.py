@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from functools import partial
 from itertools import product as _cartesian
 from math import gcd, lcm
 from operator import mul
@@ -321,7 +322,7 @@ class VOPState:
         self._d = 1                   # |g| - |f|
         self._dp = field.one          # last pivot discrepancy, never zero
         self._basis = basis           # replaces (x, z) when s_0 is nonzero
-        self.profile: list[ProfileEntry] = []
+        self._rows: list[tuple] = []  # (k, lam, delta, d) per step, as in ProfileEntry
         self.trace: Optional[list[StepRecord]] = [] if trace else None
         self._debug = _debug_enabled()
 
@@ -372,7 +373,7 @@ class VOPState:
     def copy(self) -> "VOPState":
         other = VOPState.__new__(VOPState)
         other.field, other._vec, other._debug = self.field, self._vec, self._debug
-        other._buf, other.profile = list(self._buf), list(self.profile)
+        other._buf, other._rows = list(self._buf), list(self._rows)
         other.trace = None if self.trace is None else list(self.trace)
         other._consumed, other._active = self._consumed, self._active
         other._fv, other._gv = self._vec.copy(self._fv), self._vec.copy(self._gv)
@@ -389,8 +390,8 @@ class VOPState:
         self._drive(t + 1)
         if self.trace is not None and self._active:
             if was_active:
-                e = self.profile[-1]
-                row = StepRecord(t, e.d, dp, e.delta, self.field.div(e.delta, dp),
+                _, _, delta, d = self._rows[-1]
+                row = StepRecord(t, d, dp, delta, self.field.div(delta, dp),
                                  self.f_form(), self.g_form())
             else:
                 row = StepRecord(t, None, self._dp, None, None, self.f_form(), self.g_form())
@@ -402,7 +403,7 @@ class VOPState:
     def _drive(self, stop: int):
         """Consume the terms before index stop, one inductive step each,
         on the state's kernel; the fast entries call this once."""
-        buf, profile = self._buf, self.profile
+        buf, append = self._buf, self._rows.append
         t = self._consumed
         while not self._active:
             if t == stop:
@@ -411,7 +412,7 @@ class VOPState:
             # and term t is the discrepancy it meets
             a = buf[t]
             if t:
-                profile.append(ProfileEntry(t - 1, 0, a, t + 1))
+                append((t - 1, 0, a, t + 1))
             if a:  # raw values are ints or Fractions, so zero is falsy
                 self._start(t, a)
             else:
@@ -422,7 +423,7 @@ class VOPState:
         f, g, fdeg, gdeg, d, dp = self._fv, self._gv, self._fdeg, self._gdeg, self._d, self._dp
         for t in range(t, stop):
             delta = disc(buf, t, f, fdeg)
-            profile.append(ProfileEntry(t - 1, fdeg, delta, d))
+            append((t - 1, fdeg, delta, d))
             if delta:
                 if d <= 0:
                     f = update(f, g, d, delta, dp)
@@ -460,10 +461,10 @@ class VOPState:
 
     def finish_profile(self) -> list[ProfileEntry]:
         """Profile including the closing entry for the full prefix."""
-        out = list(self.profile)
+        rows = self._rows
         if self._consumed:
-            out.append(ProfileEntry(self._consumed - 1, self._fdeg, None, self._d))
-        return out
+            rows = rows + [(self._consumed - 1, self._fdeg, None, self._d)]
+        return list(map(partial(tuple.__new__, ProfileEntry), rows))  # in C, no __new__ per row
 
     # -- slow invariant checks (debug mode) --------------------------------
 

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from itertools import islice
 
 import pytest
@@ -32,6 +33,10 @@ from seqideal.vop_engine import THETA_ENUMERATE_CAP, VOP, packed_form
 from tests.conftest import FIELD_VALUES, FITZ, value_runs
 
 FITZ_TEXT = "1 0 0 0 -1\n1 0 0 1 -2\n"
+
+# six 9,900-bit integers: each parses, but the report's values pass the
+# 4,300 digits that str() writes of an int
+PAST_DIGIT_LIMIT = [Fraction(v) for v in map(random.Random(1).getrandbits, [9900] * 6)]
 
 
 def run_cli(capsys, *argv):
@@ -216,12 +221,27 @@ def test_analyze_json_is_indented_json_dumps(tmp_path, capsys, tag, profile):
     rng = random.Random(5)
     fitz = [v % 2 for v in FITZ] if field == GF2 else FITZ
     flags = ("--json", "--profile") if profile else ("--json",)
-    for seq in ([field.coerce(v) for v in fitz], [field.random(rng) for _ in range(300)]):
+    seqs = [
+        [field.coerce(v) for v in fitz],
+        [field.random(rng) for _ in range(300)],
+        [field.one],  # n = 1: the delta column holds only the closing None
+        [field.zero] * 7,
+    ]
+    for seq in seqs + ([PAST_DIGIT_LIMIT] if field == QQ else []):
         p = tmp_path / "in.txt"
         p.write_text(" ".join(map(field.format, seq)) + "\n")
         got = run_cli(capsys, "analyze", "--field", tag, "--input", str(p), *flags)
         want = json.dumps(build_report(field, seq, profile).to_dict(), indent=2)
         assert got == (0, want + "\n", "")
+
+
+def test_analyze_text_report_past_the_int_digit_limit(tmp_path, capsys):
+    p = tmp_path / "in.txt"
+    p.write_text(" ".join(map(QQ.format, PAST_DIGIT_LIMIT)) + "\n")
+    code, out, err = run_cli(capsys, "analyze", "--field", "q", "--input", str(p), "--profile")
+    report = build_report(QQ, PAST_DIGIT_LIMIT, True)
+    assert (code, out, err) == (0, report.render_text() + "\n", "")
+    assert max(len(QQ.format(c)) for c in report.f.coeffs) > 4300
 
 
 def test_rueppel_json_is_indented_json_dumps(capsys):

@@ -1,6 +1,7 @@
 import random
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -192,6 +193,17 @@ def test_gf2_coercion_is_strict():
     assert QQ.coerce(3) == Fraction(3)
     with pytest.raises(FieldError):
         QQ.coerce(0.5)  # no floats anywhere
+
+
+def test_rational_format_writes_values_past_the_int_digit_limit():
+    # str() refuses an int of more than 4,300 digits; format writes it in full
+    big = 7**6000  # 5,071 digits
+    for a in (Fraction(big), Fraction(-big, 3), Fraction(3, big), Fraction(-2), Fraction(1, 3)):
+        text = QQ.format(a)
+        num, _, den = text.partition("/")
+        assert Fraction(int(Decimal(num)), int(Decimal(den or "1"))) == a
+        if max(abs(a.numerator), a.denominator) < big:
+            assert text == str(a)
 
 
 def test_raw_kernels_basics():

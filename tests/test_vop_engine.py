@@ -33,7 +33,7 @@ from seqideal import (
 from seqideal import cli, vop_engine
 from seqideal.bivariate import discrepancy_window
 from seqideal.field import SlotVectors, unpack_bits
-from seqideal.vop_engine import _primitive, synthesize_packed, synthesize_rational
+from seqideal.vop_engine import ProfileEntry, _primitive, synthesize_packed, synthesize_rational
 from seqideal.rueppel import rueppel_basis, rueppel_inverse_form, synthesize_rueppel
 from tests.conftest import FIELD_VALUES, FIRST8_TABLE, FITZ, FITZ_TABLE, value_runs
 
@@ -252,6 +252,24 @@ def test_any_push_advance_split_matches_batch_property(tag):
         assert (st.vop(), st.finish_profile()) == synthesize(InverseForm(field, seq))
 
     check()
+
+
+def test_every_profile_is_a_list_of_profile_entries():
+    # the loop keeps plain tuples; each entry point hands out the named rows
+    seq = [0, 0, 1, 1, 0, 1, 1]
+    F, Fq = InverseForm(GF2, seq), InverseForm(QQ, seq)
+    state = VOPState(GF2).push_many(seq[:3]).run()  # a fork after the basis
+    fork = state.copy().push_many(seq[3:]).run()
+    profiles = [
+        synthesize(F)[1],
+        synthesize_packed(F)[1],
+        synthesize_rational(Fq)[1],
+        synthesize_trace(F)[1],
+        fork.finish_profile(),
+        state.finish_profile(),
+    ]
+    for profile, n in zip(profiles, [7] * 5 + [3]):
+        assert [type(e) for e in profile] == [ProfileEntry] * n
 
 
 def test_state_copy_is_independent():
