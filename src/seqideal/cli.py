@@ -22,7 +22,6 @@ import re
 import sys
 import time
 from dataclasses import dataclass
-from itertools import islice, zip_longest
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Union
 
@@ -32,21 +31,22 @@ from .oracles import (
     ORACLE_LENGTH_BOUND,
     _dai_steps,
     _least_degree,
-    _packed,
     berlekamp_massey,
     connection_equals,
     satisfies_recurrence,
 )
-from .rueppel import (
+from .rueppel import (  # quad_ext_sweep is not called here; perfbench spans it on cli
+    _eta_certifies,
+    _eta_ladder,
     _ralg_pairs,
     closed_form,
     delta_parity_check,
     matrix_recurrence,
     quad_ext_sweep,
     ralg,
-    rueppel_sequence,
 )
 from .vop_engine import (
+    VOP,
     EngineError,
     ProfileEntry,
     _synthesize_fast,
@@ -120,7 +120,7 @@ def _poly_dict(field: Field, coeffs) -> dict:
 
 
 def _poly_from_dict(field: Field, d: dict) -> tuple:
-    return tuple(field.parse(s) for s in d["coeffs"])
+    return tuple(map(field.read, d["coeffs"]))
 
 
 @dataclass
@@ -174,7 +174,7 @@ class AnalysisReport:
                 ProfileEntry(
                     e["k"],
                     e["lambda"],
-                    None if e["delta"] is None else field.parse(e["delta"]),
+                    None if e["delta"] is None else field.read(e["delta"]),
                     e["d"],
                 )
                 for e in d["profile"]
@@ -389,71 +389,66 @@ def cmd_analyze(args) -> int:
     return status
 
 
-def _verify_one(check: str, n: int) -> bool:
-    if check == "closed-form":
-        # f after m = 2l bits for every power of two l, all from one sweep
-        return all(
-            packed_form(f_mask, f_deg) == closed_form(m // 2)
-            for m, (f_mask, f_deg, _, _) in enumerate(_ralg_pairs(n), 1)
-            if m > 1 and not m & (m - 1)
-        )
-    if check == "delta":
-        return True if n < 2 else delta_parity_check(n)
-    if check == "matrix":
-        return matrix_recurrence(n) == ralg(n)
-    if check == "quadext":
-        return True if n < 2 else quad_ext_sweep(n // 2)
-    if check == "dai":
-        # step k of one cascade on 2N terms ends the one on 2k terms: quotient
+VERIFY_CHECKS = ("closed-form", "delta", "matrix", "quadext", "dai")
+
+
+def _verify(names, n: int):
+    """The last pair of one sweep for n Rueppel bits, and {name: passed} for
+    the named checks, which read it in lockstep and keep nothing per prefix:
+    closed-form, quadext and dai read f after each even prefix 2k."""
+    ok = {name: True for name in names if name in VERIFY_CHECKS}  # no entry for a typo
+    N = n // 2
+    ladder = _eta_ladder() if "quadext" in names else None
+    r = sum(1 << (2 * N - (1 << j)) for j in range((2 * N).bit_length()))  # 2N bits, r_0 on top
+    steps = _dai_steps(N, r) if "dai" in names else None  # one cascade, exactly N steps
+    for m, pair in enumerate(_ralg_pairs(n), 1):
+        if m & 1:
+            continue
+        k, f_mask = m >> 1, pair[0]
+        if not k & (k - 1) and "closed-form" in names and packed_form(*pair[:2]) != closed_form(k):
+            ok["closed-form"] = False
+        if ladder and not _eta_certifies(k, next(ladder), f_mask):
+            ok["quadext"] = False
+        # step k of the cascade on 2N terms ends the one on 2k terms: quotient
         # x + 1 (k = 1) or x, c = f(x, 1), f's mask after 2k bits, and a
         # remainder degree 2N - 1 - k, which is k - 1 on 2k terms
-        N = n // 2
-        steps = _dai_steps(N, _packed(rueppel_sequence(2 * N)) if N else 0)
-        want = (
-            (0b11 if k == 1 else 0b10, f_mask, 2 * N - 1 - k)
-            for k, (f_mask, _, _, _) in enumerate(islice(_ralg_pairs(2 * N), 1, None, 2), 1)
-        )
-        return all(step == w for step, w in zip_longest(steps, want))  # and N steps
-    raise ValueError(f"unknown check {check!r}")
+        if steps and next(steps, None) != (0b11 if k == 1 else 0b10, f_mask, 2 * N - 1 - k):
+            ok["dai"] = False
+    if steps and next(steps, None) is not None:
+        ok["dai"] = False
+    if "matrix" in names:  # pair is (f_mask, f_deg, g_mask, g_deg) after n bits
+        ok["matrix"] = matrix_recurrence(n) == VOP(packed_form(*pair[:2]), packed_form(*pair[2:]))
+    if "delta" in names:
+        ok["delta"] = n < 2 or delta_parity_check(n)
+    return pair, ok
 
 
-VERIFY_CHECKS = ("closed-form", "delta", "matrix", "quadext", "dai")
+def _verify_one(check: str, n: int) -> bool:
+    return _verify((check,), n)[1][check]
 
 
 def cmd_rueppel(args) -> int:
     if args.n < 1 or args.jobs < 1:
         print("error: --n and --jobs must be at least 1", file=sys.stderr)
         return 1
-    vop = ralg(args.n)
-    lam = vop.f.degree
-    checks = []
-    if args.verify:
-        names = VERIFY_CHECKS if args.verify == "all" else (args.verify,)
-        workers = min(args.jobs, len(names), os.cpu_count() or 1)
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
+    names = VERIFY_CHECKS if args.verify == "all" else (args.verify,) if args.verify else ()
+    workers = min(args.jobs, len(names), os.cpu_count() or 1)
+    # under --jobs this sweep only gives f, and each worker sweeps for its check
+    (f_mask, lam, _, _), checks = _verify(() if workers > 1 else names, args.n)
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_verify_one, names, [args.n] * len(names)))
-            checks = list(zip(names, results))
-        else:
-            checks = [(name, _verify_one(name, args.n)) for name in names]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            checks = dict(zip(names, pool.map(_verify_one, names, [args.n] * len(names))))
 
     if args.json:
-        out = {
-            "n": args.n,
-            "lambda": lam,
-            "f": _poly_dict(GF2, vop.f.coeffs),
-            "checks": {name: ok for name, ok in checks},
-        }
-        print(_json_text(out))
+        f = _poly_dict(GF2, packed_form(f_mask, lam).coeffs)
+        print(_json_text({"n": args.n, "lambda": lam, "f": f, "checks": checks}))
     else:
-        print(f"n: {args.n}")
-        print(f"lambda: {lam}")
-        print(f"f: {vop.f}")
-        for name, ok in checks:
+        print(f"n: {args.n}\nlambda: {lam}\nf: {packed_form(f_mask, lam)}")
+        for name, ok in checks.items():
             print(f"verify {name}: {'pass' if ok else 'FAIL'}")
-    return 0 if all(ok for _, ok in checks) else 2
+    return 0 if all(checks.values()) else 2
 
 
 def bench_rows(ns, impls, seed: int):

@@ -191,6 +191,10 @@ class Field:
     def format(self, a) -> str:
         return str(a)
 
+    def read(self, text: str):
+        """Read back a value as :meth:`format` writes it, of any size."""
+        return self.parse(text)
+
     def elements(self):
         """Iterate over all raw values of a finite field."""
         raise FieldError(f"{self.name} is not finite")
@@ -209,6 +213,18 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 # int() converts this many decimal digits under any digit limit
 # (sys.int_info.str_digits_check_threshold)
 _CHUNK = 640
+
+
+def _decimal(text: str, p: int = 0) -> int:
+    """An ASCII decimal integer with an optional sign, reduced mod p if p
+    is given, read by Horner a chunk at a time within int()'s digit limit."""
+    r, digits = 0, text.lstrip("+-")
+    for i in range(0, len(digits), _CHUNK):
+        chunk = digits[i : i + _CHUNK]
+        r = r * 10 ** len(chunk) + int(chunk)
+        if p:
+            r %= p
+    return (-r % p if p else -r) if text[0] == "-" else r
 
 
 class _PrimeField(Field):
@@ -258,12 +274,7 @@ class _PrimeField(Field):
         # int alone would also take 1_000, spaces and non-ASCII digits
         if not _INTEGER.fullmatch(text):
             raise ParseError(f"not an integer for {self.name}: {text!r}")
-        p, r = self.p, 0
-        digits = text.lstrip("+-")
-        for i in range(0, len(digits), _CHUNK):  # Horner, a chunk at a time
-            chunk = digits[i : i + _CHUNK]
-            r = (r * 10 ** len(chunk) + int(chunk)) % p
-        return -r % p if text[0] == "-" else r
+        return _decimal(text, self.p)
 
     def elements(self):
         return iter(range(self.p))
@@ -383,6 +394,16 @@ class _Rationals(Field):
         except ValueError:  # int's str digit limit; Decimal writes any int exactly
             num, den = str(Decimal(a.numerator)), str(Decimal(a.denominator))
             return num if den == "1" else f"{num}/{den}"
+
+    def read(self, text: str):
+        # parse's token rules, with a and b read past int()'s digit limit
+        if not _RATIONAL.fullmatch(text):
+            raise ParseError(f"rationals are written a or a/b, got {text!r}")
+        a, _, b = text.partition("/")
+        try:
+            return Fraction(_decimal(a), _decimal(b or "1"))
+        except ZeroDivisionError:
+            raise ParseError(f"not a rational: {text!r}") from None
 
     def random(self, rng):
         return Fraction(rng.randint(-9, 9), rng.randint(1, 9))

@@ -11,8 +11,8 @@ Everything here works on bit-packed GF(2) polynomials: a homogeneous
 form of known degree is a Python int whose bit i is the coefficient of
 x^i, read back by :func:`~seqideal.vop_engine.packed_form`, so adding
 forms is XOR, multiplying by x is a left shift, and multiplying by z
-just raises the recorded degree.  That packing is what makes the
-desk-scale sweeps (n up to 2^15) fast.
+just raises the recorded degree.  That packing makes the sweeps fast (n
+up to 2^15), and ``rueppel --verify`` shares one per op among its checks.
 
 Also here: the two-by-two matrix recurrence that replays the same pair
 by accumulated products, the closed form of the leading generator at
@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from .bivariate import Form, InverseForm
 from .field import GF2, FieldError, unpack_bits
-from .vop_engine import VOP, packed_form, synthesize, synthesize_packed
+from .vop_engine import VOP, _synthesize_bits, packed_form, synthesize
 
 __all__ = [
     "rueppel_sequence",
@@ -187,12 +187,12 @@ def matrix_recurrence(n: int) -> VOP:
 
 
 def delta_parity_check(n: int) -> bool:
-    """Run the bit-packed engine on the first n Rueppel bits (from the
-    distinguished basis) and test that the discrepancy at step k is
+    """Run the bit-packed engine on the n bits of :func:`rueppel_bits` (from
+    the distinguished basis) and test that the discrepancy at step k is
     exactly the parity of k, with d = 1 whenever k is odd."""
     if n < 2:
         raise FieldError("need n >= 2")
-    _, profile = synthesize_packed(rueppel_inverse_form(n), basis=rueppel_basis())
+    _, profile = _synthesize_bits(rueppel_bits(n), n, rueppel_basis())
     ks, _, deltas, ds = zip(*profile[:-1])  # the closing entry has no delta
     # column by column: delta = k mod 2, then d over the odd k alone
     return deltas == tuple(map((2).__rmod__, ks)) and set(compress(ds, deltas)) <= {1}

@@ -214,8 +214,8 @@ class _PackedBits:
     field = GF2
     pack, copy = staticmethod(pack_bits), staticmethod(int)
 
-    def __init__(self, seq):
-        self.s = pack_bits(seq)
+    def __init__(self, s: int):
+        self.s = s
 
     @staticmethod
     def unpack(v: int) -> list:
@@ -536,7 +536,13 @@ def synthesize_packed(F: InverseForm, basis: Optional[tuple[Form, Form]] = None)
     and no per-step debug checks."""
     if F.field != GF2:
         raise EngineError(f"the packed engine needs GF(2), got {F.field.name}")
-    state = _driven(_PackedBits(F.seq), F.seq, F.n, basis)
+    return _synthesize_bits(pack_bits(F.seq), F.n, basis)
+
+
+def _synthesize_bits(s: int, n: int, basis: Optional[tuple[Form, Form]] = None):
+    """:func:`synthesize_packed` on the n bits packed in s < 2^n (bit t is
+    s_t), unchecked; the loop reads them one by one up to the first one."""
+    state = _driven(_PackedBits(s), unpack_bits(s, (s & -s).bit_length() or n), n, basis)
     return state.vop(), state.finish_profile()
 
 

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import unittest.mock
 from fractions import Fraction
 from itertools import islice
 
@@ -242,6 +243,21 @@ def test_analyze_text_report_past_the_int_digit_limit(tmp_path, capsys):
     report = build_report(QQ, PAST_DIGIT_LIMIT, True)
     assert (code, out, err) == (0, report.render_text() + "\n", "")
     assert max(len(QQ.format(c)) for c in report.f.coeffs) > 4300
+
+
+def test_report_past_the_int_digit_limit_reads_back(tmp_path, capsys):
+    # the values the writer takes past the limit, from_dict takes back;
+    # a token that long is still refused on input
+    report = build_report(QQ, PAST_DIGIT_LIMIT, True)
+    assert AnalysisReport.from_dict(report.to_dict()) == report
+    p = tmp_path / "in.txt"
+    p.write_text(" ".join(map(QQ.format, PAST_DIGIT_LIMIT)) + "\n")
+    argv = ("analyze", "--field", "q", "--input", str(p), "--json", "--profile")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and AnalysisReport.from_dict(json.loads(out)) == report
+    p.write_text(QQ.format(report.f.coeffs[0] ** 2) + "\n")
+    code, _, err = run_cli(capsys, "analyze", "--field", "q", "--input", str(p))
+    assert code == 1 and "at most 4300 digits" in err
 
 
 def test_rueppel_json_is_indented_json_dumps(capsys):
@@ -570,6 +586,37 @@ def test_analyze_fuzzed_input_exits_0_or_1(tag, text):
     assert code in (0, 1)
 
 
+_MAIN_TOKENS = strategies.sampled_from(
+    ["0", "1", "-1", "+2", "7", "1/2", "-3/4", "1/0", "0x1F", "0x", "101", "x", "1e3", "1_0"]
+    + ["9" * 4400]  # past int()'s digit limit
+)
+_ANALYZE_FLAGS = ["--profile", "--json", "--check-bm", "--check-oracle", "--enumerate-theta"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tokens=strategies.lists(_MAIN_TOKENS | strategies.text(max_size=3), max_size=6),
+    field=strategies.sampled_from(["gf2", "gfp:2", "gfp:3", "gfp:5", "gfp:7", "q", "gfp:4", "z"]),
+    flags=strategies.lists(strategies.sampled_from(_ANALYZE_FLAGS), max_size=5),
+    n=strategies.integers(-1, 64),
+    verify=strategies.sampled_from([(), ("--verify", "all"), ("--verify", "nope")])
+    | strategies.sampled_from(VERIFY_CHECKS).map(lambda c: ("--verify", c)),
+    rueppel_flags=strategies.lists(strategies.sampled_from(["--json", "--jobs", "1"]), max_size=3),
+)
+@example(tokens=["9" * 4400], field="q", flags=["--json"], n=0, verify=(), rueppel_flags=[])
+@example(tokens=["1"], field="gf2", flags=[], n=64, verify=("--verify", "all"), rueppel_flags=[])
+def test_main_returns_an_exit_code_and_never_raises(tokens, field, flags, n, verify, rueppel_flags):
+    # random token streams, fields and flag sets; --jobs stays at 1, so
+    # no process starts
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        with unittest.mock.patch.object(sys, "stdin", io.StringIO(" ".join(tokens))):
+            codes = [
+                main(["analyze", "--field", field, "--input", "-", *flags]),
+                main(["rueppel", "--n", str(n), *verify, *rueppel_flags]),
+            ]
+    assert set(codes) <= {0, 1, 2}
+
+
 def test_analyze_oracle_guard(tmp_path, capsys):
     p = tmp_path / "long.txt"
     p.write_text(" ".join("1" * 17) + "\n")
@@ -642,8 +689,8 @@ def test_gf2_values_are_checked_once_where_they_enter(capsys, monkeypatch):
     assert code == 0 and sizes == [4096, 4096]
     sizes.clear()
     code, _, _ = run_cli(capsys, "rueppel", "--n", "4096", "--verify", "all", "--json")
-    # delta_parity_check's rueppel_inverse_form, then rueppel_basis's two forms
-    assert code == 0 and sizes == [4096, 2, 2]
+    # rueppel_basis's two forms; delta reads the packed Rueppel bits, unchecked
+    assert code == 0 and sizes == [2, 2]
 
 
 def test_rueppel_report(capsys):
@@ -669,11 +716,93 @@ def test_rueppel_verify_single_json(capsys):
     assert doc["lambda"] == 8 and doc["checks"] == {"delta": True}
 
 
-def test_rueppel_verify_jobs(capsys):
-    code, out, _ = run_cli(
-        capsys, "rueppel", "--n", "24", "--verify", "all", "--jobs", "2"
-    )
-    assert code == 0 and out.count(": pass") == 5
+def test_rueppel_verify_jobs(monkeypatch, capsys):
+    # two workers print what one process does, byte for byte; every run
+    # shares one pool, so two processes start in all
+    import concurrent.futures
+
+    used = []
+    with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:
+
+        class SharedPool:
+            def __init__(self, max_workers):
+                used.append(max_workers)
+
+            def __enter__(self):
+                return pool
+
+            def __exit__(self, *exc):
+                return False
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SharedPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        for n in ("24", "4097"):
+            for flags in ((), ("--json",)):
+                argv = ("rueppel", "--n", n, "--verify", "all", *flags)
+                one = run_cli(capsys, *argv)
+                assert run_cli(capsys, *argv, "--jobs", "2") == one and one[0] == 0
+    assert used == [2] * 4
+
+
+@pytest.mark.parametrize(
+    "verify", [(), ("--verify", "all")] + [("--verify", c) for c in VERIFY_CHECKS]
+)
+def test_rueppel_sweeps_once_per_op(monkeypatch, capsys, verify):
+    # the sweeps of the op, whether cli or rueppel's own loops start them
+    calls = []
+    real = cli._ralg_pairs
+
+    def ralg_pairs(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(cli, "_ralg_pairs", ralg_pairs)
+    monkeypatch.setattr(rueppel, "_ralg_pairs", ralg_pairs)
+    code, _, _ = run_cli(capsys, "rueppel", "--n", "4096", *verify, "--json")
+    assert code == 0 and calls == [4096]
+
+
+def test_rueppel_verify_memory_is_linear_in_n(capsys):
+    # the sweep is read in lockstep: no mask is kept per prefix, which
+    # would grow the peak as n^2
+    import tracemalloc
+
+    peaks = []
+    for n in (16384, 32768):
+        tracemalloc.start()
+        try:
+            code, _, _ = run_cli(capsys, "rueppel", "--n", str(n), "--verify", "all", "--json")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    assert peaks[1] <= 2.5 * peaks[0], peaks
+
+
+def _flip_sweep_at(m):
+    """Flip bit 0 of f's mask after the first m bits of the one sweep."""
+
+    def corrupt(real):
+        def ralg_pairs(n):
+            for j, (f_mask, *rest) in enumerate(real(n), 1):
+                yield (f_mask ^ (j == m), *rest)
+
+        return ralg_pairs
+
+    corrupt.__name__ = f"_flip_sweep_at_{m}"
+    return corrupt
+
+
+def test_each_check_alone_matches_its_entry_under_all(monkeypatch):
+    real = cli._ralg_pairs
+    for m in (None, 2, 64, 150):
+        if m:
+            monkeypatch.setattr(cli, "_ralg_pairs", _flip_sweep_at(m)(real))
+        for n in range(1, 301):
+            _, under_all = cli._verify(VERIFY_CHECKS, n)
+            assert under_all == {c: _verify_one(c, n) for c in VERIFY_CHECKS}, (m, n)
+            # a flipped f fails the checks that read its prefix, and no other
+            assert all(under_all.values()) == (m is None or m > n), (m, n)
 
 
 def _flip_dai_step(k, field):
@@ -740,21 +869,32 @@ def _flip_delta(real):
         ("dai", cli, "_dai_steps", _flip_dai_step(13, 2)),
         ("closed-form", cli, "closed_form", _flip_closed_form),
         ("matrix", cli, "matrix_recurrence", _flip_matrix),
-        ("quadext", rueppel, "_eta_ladder", _flip_eta),
-        ("delta", rueppel, "synthesize_packed", _flip_delta),
+        ("quadext", cli, "_eta_ladder", _flip_eta),
+        ("delta", rueppel, "_synthesize_bits", _flip_delta),
+        # the sweep itself, read by every check but delta: at 2l = 32
+        # closed-form reads f, and the last pair (n = 40) is matrix's
+        pytest.param(
+            ("closed-form", "quadext", "dai"), cli, "_ralg_pairs", _flip_sweep_at(32),
+            id="sweep-at-32",
+        ),
+        pytest.param(
+            ("matrix", "quadext", "dai"), cli, "_ralg_pairs", _flip_sweep_at(40), id="sweep-at-40"
+        ),
     ],
 )
 def test_rueppel_verify_fails_on_one_flipped_bit(
     capsys, monkeypatch, check, module, name, corrupt
 ):
-    # one bit off on the reference side fails that check and no other
+    # one bit off fails the checks that read it and no other
+    failing = (check,) if isinstance(check, str) else check
     monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
     code, out, _ = run_cli(capsys, "rueppel", "--n", "40", "--verify", "all")
     assert code == 2
     for other in VERIFY_CHECKS:
-        assert f"verify {other}: {'FAIL' if other == check else 'pass'}" in out
-    code, out, _ = run_cli(capsys, "rueppel", "--n", "40", "--verify", check, "--json")
-    assert code == 2 and json.loads(out)["checks"] == {check: False}
+        assert f"verify {other}: {'FAIL' if other in failing else 'pass'}" in out
+    for check in failing:
+        code, out, _ = run_cli(capsys, "rueppel", "--n", "40", "--verify", check, "--json")
+        assert code == 2 and json.loads(out)["checks"] == {check: False}
 
 
 def test_closed_form_check_reads_the_sizes_ralg_does(monkeypatch):

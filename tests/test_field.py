@@ -206,6 +206,31 @@ def test_rational_format_writes_values_past_the_int_digit_limit():
             assert text == str(a)
 
 
+@pytest.mark.parametrize(
+    "text", ["0", "-0", "+3", "-007", "-4/6", "6/4", "1/0", "-0/5", "1e3", "1_0", "1/-2", "/2", ""]
+)
+def test_rational_read_follows_parse_within_the_limit(text):
+    try:
+        want = QQ.parse(text)
+    except ParseError:
+        with pytest.raises(ParseError):
+            QQ.read(text)
+    else:
+        assert QQ.read(text) == want
+
+
+def test_read_takes_back_what_format_writes_at_any_size():
+    # parse keeps the digit limit on input tokens; read takes what format
+    # wrote past it, the chunk boundaries at 640 digits included
+    big = 7**6000  # 5,071 digits
+    for a in (Fraction(big), Fraction(-big, 3), Fraction(3, big), Fraction(-(10**640))):
+        assert QQ.read(QQ.format(a)) == a
+    with pytest.raises(ParseError, match="digits"):
+        QQ.parse(QQ.format(Fraction(big)))
+    for field, values in ((GF2, [0, 1]), (GF(7), range(7)), (GF(2**61 - 1), [0, 5, 2**61 - 2])):
+        assert [field.read(field.format(v)) for v in values] == list(values)
+
+
 def test_raw_kernels_basics():
     F = GF(7)
     assert F.format(3) == "3"
