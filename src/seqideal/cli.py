@@ -26,7 +26,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Optional, Union
 
 from .bivariate import Form, InverseForm, UniPoly, dehomogenize
-from .field import GF2, Field, FieldError, field_from_tag
+from .field import _DIGIT_BITS, GF2, Field, FieldError, field_from_tag
 from .oracles import (
     ORACLE_LENGTH_BOUND,
     _dai_steps,
@@ -77,9 +77,6 @@ def _tokens(text: str):
             yield m.group(0), lineno, m.start() + 1
 
 
-_BITS = {"0": 0, "1": 1}
-
-
 def _expand_gf2(token: str, line: int, col: int) -> list[int]:
     if token.startswith(("0x", "0X")):
         digits = token[2:]
@@ -89,7 +86,7 @@ def _expand_gf2(token: str, line: int, col: int) -> list[int]:
         token = format(int(digits, 16), f"0{4 * len(digits)}b")
     elif not all(c in "01" for c in token):
         raise CliParseError(line, col, f"GF(2) token must be bits or 0x hex, got {token!r}")
-    return list(map(_BITS.__getitem__, token))
+    return list(token.encode().translate(_DIGIT_BITS))
 
 
 def parse_sequence_text(text: str, field: Field) -> list:
@@ -401,10 +398,10 @@ def _verify(names, n: int):
     ladder = _eta_ladder() if "quadext" in names else None
     r = sum(1 << (2 * N - (1 << j)) for j in range((2 * N).bit_length()))  # 2N bits, r_0 on top
     steps = _dai_steps(N, r) if "dai" in names else None  # one cascade, exactly N steps
-    for m, pair in enumerate(_ralg_pairs(n), 1):
-        if m & 1:
-            continue
-        k, f_mask = m >> 1, pair[0]
+    pairs = _ralg_pairs(n)
+    for k, _ in zip(range(1, N + 1), pairs):  # the pair after 2k - 1 bits is skipped
+        pair = next(pairs)
+        f_mask = pair[0]
         if not k & (k - 1) and "closed-form" in names and packed_form(*pair[:2]) != closed_form(k):
             ok["closed-form"] = False
         if ladder and not _eta_certifies(k, next(ladder), f_mask):
@@ -414,6 +411,8 @@ def _verify(names, n: int):
         # remainder degree 2N - 1 - k, which is k - 1 on 2k terms
         if steps and next(steps, None) != (0b11 if k == 1 else 0b10, f_mask, 2 * N - 1 - k):
             ok["dai"] = False
+    for pair in pairs:  # the last pair: after bit n when n is odd (or n = 1)
+        pass
     if steps and next(steps, None) is not None:
         ok["dai"] = False
     if "matrix" in names:  # pair is (f_mask, f_deg, g_mask, g_deg) after n bits

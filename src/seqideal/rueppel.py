@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from .bivariate import Form, InverseForm
 from .field import GF2, FieldError, unpack_bits
-from .vop_engine import VOP, _synthesize_bits, packed_form, synthesize
+from .vop_engine import VOP, _driven_bits, packed_form, synthesize
 
 __all__ = [
     "rueppel_sequence",
@@ -188,12 +188,12 @@ def matrix_recurrence(n: int) -> VOP:
 
 def delta_parity_check(n: int) -> bool:
     """Run the bit-packed engine on the n bits of :func:`rueppel_bits` (from
-    the distinguished basis) and test that the discrepancy at step k is
-    exactly the parity of k, with d = 1 whenever k is odd."""
+    the distinguished basis) and test on its plain (k, lam, delta, d) rows
+    that the discrepancy at step k is exactly the parity of k, with d = 1
+    whenever k is odd; no form or profile entry is built."""
     if n < 2:
         raise FieldError("need n >= 2")
-    _, profile = _synthesize_bits(rueppel_bits(n), n, rueppel_basis())
-    ks, _, deltas, ds = zip(*profile[:-1])  # the closing entry has no delta
+    ks, _, deltas, ds = zip(*_driven_bits(rueppel_bits(n), n, rueppel_basis())._rows)
     # column by column: delta = k mod 2, then d over the odd k alone
     return deltas == tuple(map((2).__rmod__, ks)) and set(compress(ds, deltas)) <= {1}
 
@@ -262,11 +262,11 @@ def _eta(k: int) -> QuadExt:
     return ONE_PLUS_RHO * RHO.pow(k) + ONE_PLUS_RHO_INV * RHO_INV.pow(k)
 
 
-def _eta_certifies(k: int, eta: QuadExt, f_mask: int) -> bool:
-    """Whether eta is x f(x, 1) for the generator f of 2k bits, given as
-    its packed mask: no rho component, divisible by x, degree k + 1."""
-    a = eta.a
-    return eta.b == 0 and not a & 1 and a.bit_length() - 1 == k + 1 and a == f_mask << 1
+def _eta_certifies(k: int, eta: tuple[int, int], f_mask: int) -> bool:
+    """Whether eta = (a, b), a + b rho, is x f(x, 1) for the generator f of
+    2k bits, given as its packed mask: b = 0, and a is x-divisible of degree k + 1."""
+    a, b = eta
+    return b == 0 and not a & 1 and a.bit_length() - 1 == k + 1 and a == f_mask << 1
 
 
 def quad_ext_identity(k: int) -> bool:
@@ -282,15 +282,15 @@ def quad_ext_identity(k: int) -> bool:
 
 
 def _eta_ladder():
-    """_eta(k) for k = 1, 2, ..., from the ladders u = (1 + rho) rho^k and
-    v = (1 + rho^-1) rho^-k, each step in closed form:
-    (a + b rho) rho = b + (a + x b) rho and
+    """_eta(k) for k = 1, 2, ..., as plain (a, b) int pairs, from the
+    ladders u = (1 + rho) rho^k and v = (1 + rho^-1) rho^-k, each step in
+    closed form: (a + b rho) rho = b + (a + x b) rho and
     (a + b rho)(x + rho) = (x a + b) + a rho."""
     (ua, ub), (va, vb) = ONE_PLUS_RHO, ONE_PLUS_RHO_INV
     while True:
         ua, ub = ub, ua ^ (ub << 1)
         va, vb = (va << 1) ^ vb, va
-        yield QuadExt(ua ^ va, ub ^ vb)
+        yield ua ^ va, ub ^ vb
 
 
 def quad_ext_sweep(max_k: int) -> bool:

@@ -536,14 +536,15 @@ def synthesize_packed(F: InverseForm, basis: Optional[tuple[Form, Form]] = None)
     and no per-step debug checks."""
     if F.field != GF2:
         raise EngineError(f"the packed engine needs GF(2), got {F.field.name}")
-    return _synthesize_bits(pack_bits(F.seq), F.n, basis)
-
-
-def _synthesize_bits(s: int, n: int, basis: Optional[tuple[Form, Form]] = None):
-    """:func:`synthesize_packed` on the n bits packed in s < 2^n (bit t is
-    s_t), unchecked; the loop reads them one by one up to the first one."""
-    state = _driven(_PackedBits(s), unpack_bits(s, (s & -s).bit_length() or n), n, basis)
+    state = _driven_bits(pack_bits(F.seq), F.n, basis)
     return state.vop(), state.finish_profile()
+
+
+def _driven_bits(s: int, n: int, basis=None) -> VOPState:
+    """The packed state driven over the n bits packed in s < 2^n (bit t is
+    s_t), unchecked; the loop reads them one by one up to the first one.
+    Its ``_rows`` are the profile's (k, lam, delta, d) as plain tuples."""
+    return _driven(_PackedBits(s), unpack_bits(s, (s & -s).bit_length() or n), n, basis)
 
 
 def synthesize_rational(F: InverseForm):

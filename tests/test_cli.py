@@ -29,8 +29,8 @@ from seqideal import GF, GF2, QQ, EngineError, FieldError
 from seqideal.oracles import BMResult, _dai_cascade, _packed
 from seqideal.bivariate import UniPoly
 from seqideal.field import PRIME_BOUND, field_from_tag, pack_bits
-from seqideal.rueppel import QuadExt, ralg, rueppel_sequence
-from seqideal.vop_engine import THETA_ENUMERATE_CAP, VOP, packed_form
+from seqideal.rueppel import ralg, rueppel_sequence
+from seqideal.vop_engine import THETA_ENUMERATE_CAP, VOP, VOPState, packed_form
 from tests.conftest import FIELD_VALUES, FITZ, value_runs
 
 FITZ_TEXT = "1 0 0 0 -1\n1 0 0 1 -2\n"
@@ -762,6 +762,26 @@ def test_rueppel_sweeps_once_per_op(monkeypatch, capsys, verify):
     assert code == 0 and calls == [4096]
 
 
+def test_delta_check_builds_no_forms_or_profile(monkeypatch, capsys):
+    # delta reads the driver's plain rows: no ProfileEntry list, no f and g forms
+    calls = []
+    for name in ("finish_profile", "vop"):
+        real = getattr(VOPState, name)
+        monkeypatch.setattr(
+            VOPState, name, lambda self, real=real, name=name: calls.append(name) or real(self)
+        )
+    code, out, _ = run_cli(capsys, "rueppel", "--n", "4096", "--verify", "delta")
+    assert code == 0 and "verify delta: pass" in out and calls == []
+
+
+def test_verify_returns_the_last_pair_of_the_sweep():
+    # the lockstep loop takes the even prefixes, and an odd n's last bit after it
+    for names in [(), VERIFY_CHECKS] + [(c,) for c in VERIFY_CHECKS]:
+        for n in range(1, 71):
+            *_, last = cli._ralg_pairs(n)
+            assert cli._verify(names, n)[0] == last, (names, n)
+
+
 def test_rueppel_verify_memory_is_linear_in_n(capsys):
     # the sweep is read in lockstep: no mask is kept per prefix, which
     # would grow the peak as n^2
@@ -843,20 +863,29 @@ def _flip_matrix(real):
 
 def _flip_eta(real):
     def eta_ladder():  # eta(20) gains an x term, the last k of quad_ext_sweep(20)
-        for k, eta in enumerate(real(), 1):
-            yield QuadExt(eta.a ^ (0b10 if k == 20 else 0), eta.b)
+        for k, (a, b) in enumerate(real(), 1):
+            yield a ^ (0b10 if k == 20 else 0), b
 
     return eta_ladder
 
 
 def _flip_delta(real):
-    def synthesize_packed(*args, **kwargs):  # the last discrepancy
-        vop, profile = real(*args, **kwargs)
-        i = max(i for i, e in enumerate(profile) if e.delta is not None)
-        profile[i] = profile[i]._replace(delta=profile[i].delta ^ 1)
-        return vop, profile
+    def driven_bits(*args, **kwargs):  # the last discrepancy
+        state = real(*args, **kwargs)
+        k, lam, delta, d = state._rows[-1]
+        state._rows[-1] = (k, lam, delta ^ 1, d)
+        return state
 
-    return synthesize_packed
+    return driven_bits
+
+
+def _flip_driver_row(real):
+    def _drive(self, stop):  # the driver's row for k = 21, an odd k: delta 1 becomes 0
+        real(self, stop)
+        k, lam, delta, d = self._rows[21]
+        self._rows[21] = (k, lam, delta ^ 1, d)
+
+    return _drive
 
 
 @pytest.mark.parametrize(
@@ -870,7 +899,8 @@ def _flip_delta(real):
         ("closed-form", cli, "closed_form", _flip_closed_form),
         ("matrix", cli, "matrix_recurrence", _flip_matrix),
         ("quadext", cli, "_eta_ladder", _flip_eta),
-        ("delta", rueppel, "_synthesize_bits", _flip_delta),
+        ("delta", rueppel, "_driven_bits", _flip_delta),
+        ("delta", VOPState, "_drive", _flip_driver_row),
         # the sweep itself, read by every check but delta: at 2l = 32
         # closed-form reads f, and the last pair (n = 40) is matrix's
         pytest.param(
