@@ -422,26 +422,15 @@ def _verify(names, n: int):
     return pair, ok
 
 
-def _verify_one(check: str, n: int) -> bool:
-    return _verify((check,), n)[1][check]
-
-
 def cmd_rueppel(args) -> int:
-    if args.n < 1 or args.jobs < 1:
-        print("error: --n and --jobs must be at least 1", file=sys.stderr)
+    if args.n < 1:
+        print("error: --n must be at least 1", file=sys.stderr)
         return 1
     names = VERIFY_CHECKS if args.verify == "all" else (args.verify,) if args.verify else ()
-    workers = min(args.jobs, len(names), os.cpu_count() or 1)
-    # under --jobs this sweep only gives f, and each worker sweeps for its check
-    (f_mask, lam, _, _), checks = _verify(() if workers > 1 else names, args.n)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            checks = dict(zip(names, pool.map(_verify_one, names, [args.n] * len(names))))
+    (f_mask, lam, _, _), checks = _verify(names, args.n)
 
     if args.json:
-        f = _poly_dict(GF2, packed_form(f_mask, lam).coeffs)
+        f = {"degree": lam, "coeffs": list(format(f_mask, f"0{lam + 1}b")[::-1])}  # c_0 first
         print(_json_text({"n": args.n, "lambda": lam, "f": f, "checks": checks}))
     else:
         print(f"n: {args.n}\nlambda: {lam}\nf: {packed_form(f_mask, lam)}")
@@ -562,10 +551,6 @@ def make_parser() -> argparse.ArgumentParser:
         "--verify", choices=VERIFY_CHECKS + ("all",), help="run consistency checks"
     )
     r.add_argument("--json", action="store_true")
-    r.add_argument(
-        "--jobs", type=int, default=1,
-        help="parallel verify shards (at most one per check and per CPU)",
-    )
     r.set_defaults(func=cmd_rueppel)
 
     b = sub.add_parser("bench", help="CSV timings")

@@ -19,7 +19,7 @@ from seqideal.cli import (
     AnalysisReport,
     CliParseError,
     _json_text,
-    _verify_one,
+    _verify,
     build_report,
     fit_loglog_slope,
     main,
@@ -261,14 +261,18 @@ def test_report_past_the_int_digit_limit_reads_back(tmp_path, capsys):
 
 
 def test_rueppel_json_is_indented_json_dumps(capsys):
-    got = run_cli(capsys, "rueppel", "--n", "64", "--verify", "all", "--json")
-    want = {
-        "n": 64,
-        "lambda": 32,
-        "f": {"degree": 32, "coeffs": [str(c) for c in ralg(64).f.coeffs]},
-        "checks": dict.fromkeys(VERIFY_CHECKS, True),
-    }
-    assert got == (0, json.dumps(want, indent=2) + "\n", "")
+    # f's digits come from its mask; ralg's form is the reference, at the
+    # smallest n, an even n and an odd n past one 4096-bit sweep
+    for n in (1, 2, 64, 4097):
+        got = run_cli(capsys, "rueppel", "--n", str(n), "--verify", "all", "--json")
+        lam = (n + 1) // 2
+        want = {
+            "n": n,
+            "lambda": lam,
+            "f": {"degree": lam, "coeffs": [str(c) for c in ralg(n).f.coeffs]},
+            "checks": dict.fromkeys(VERIFY_CHECKS, True),
+        }
+        assert got == (0, json.dumps(want, indent=2) + "\n", ""), n
 
 
 def test_analyze_degenerate_input(capsys, monkeypatch, tmp_path):
@@ -606,8 +610,8 @@ _ANALYZE_FLAGS = ["--profile", "--json", "--check-bm", "--check-oracle", "--enum
 @example(tokens=["9" * 4400], field="q", flags=["--json"], n=0, verify=(), rueppel_flags=[])
 @example(tokens=["1"], field="gf2", flags=[], n=64, verify=("--verify", "all"), rueppel_flags=[])
 def test_main_returns_an_exit_code_and_never_raises(tokens, field, flags, n, verify, rueppel_flags):
-    # random token streams, fields and flag sets; --jobs stays at 1, so
-    # no process starts
+    # random token streams, fields and flag sets; --jobs is an unknown
+    # option, so any flag set holding it exits 1
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         with unittest.mock.patch.object(sys, "stdin", io.StringIO(" ".join(tokens))):
             codes = [
@@ -716,34 +720,6 @@ def test_rueppel_verify_single_json(capsys):
     assert doc["lambda"] == 8 and doc["checks"] == {"delta": True}
 
 
-def test_rueppel_verify_jobs(monkeypatch, capsys):
-    # two workers print what one process does, byte for byte; every run
-    # shares one pool, so two processes start in all
-    import concurrent.futures
-
-    used = []
-    with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:
-
-        class SharedPool:
-            def __init__(self, max_workers):
-                used.append(max_workers)
-
-            def __enter__(self):
-                return pool
-
-            def __exit__(self, *exc):
-                return False
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SharedPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        for n in ("24", "4097"):
-            for flags in ((), ("--json",)):
-                argv = ("rueppel", "--n", n, "--verify", "all", *flags)
-                one = run_cli(capsys, *argv)
-                assert run_cli(capsys, *argv, "--jobs", "2") == one and one[0] == 0
-    assert used == [2] * 4
-
-
 @pytest.mark.parametrize(
     "verify", [(), ("--verify", "all")] + [("--verify", c) for c in VERIFY_CHECKS]
 )
@@ -820,7 +796,7 @@ def test_each_check_alone_matches_its_entry_under_all(monkeypatch):
             monkeypatch.setattr(cli, "_ralg_pairs", _flip_sweep_at(m)(real))
         for n in range(1, 301):
             _, under_all = cli._verify(VERIFY_CHECKS, n)
-            assert under_all == {c: _verify_one(c, n) for c in VERIFY_CHECKS}, (m, n)
+            assert under_all == {c: _verify((c,), n)[1][c] for c in VERIFY_CHECKS}, (m, n)
             # a flipped f fails the checks that read its prefix, and no other
             assert all(under_all.values()) == (m is None or m > n), (m, n)
 
@@ -944,7 +920,7 @@ def test_closed_form_check_reads_the_sizes_ralg_does(monkeypatch):
         )
         for n in range(1, 601):
             want = bad is None or 2 * bad > n
-            assert _verify_one("closed-form", n) == per_size(n) == want, (bad, n)
+            assert _verify(("closed-form",), n)[1]["closed-form"] == per_size(n) == want, (bad, n)
 
 
 @pytest.mark.parametrize(
@@ -954,7 +930,7 @@ def test_dai_check_needs_exactly_n_half_steps(monkeypatch, length):
     # one step short or one step over fails, though each step it compares matches
     real = cli._dai_steps
     monkeypatch.setattr(cli, "_dai_steps", lambda N, r: iter(length(list(real(N, r)))))
-    assert not _verify_one("dai", 40)
+    assert not _verify(("dai",), 40)[1]["dai"]
 
 
 def test_dai_check_reads_every_k_the_per_k_cascades_do(monkeypatch):
@@ -980,49 +956,19 @@ def test_dai_check_reads_every_k_the_per_k_cascades_do(monkeypatch):
         monkeypatch.setattr(cli, "_ralg_pairs", pairs)
         for n in range(1, 601):
             want = bad is None or 2 * bad > n
-            assert _verify_one("dai", n) == per_k(n) == want, (bad, n)
+            assert _verify(("dai",), n)[1]["dai"] == per_k(n) == want, (bad, n)
 
 
 def test_rueppel_bad_n(capsys):
-    code, _, _ = run_cli(capsys, "rueppel", "--n", "0")
-    assert code == 1
+    code, out, err = run_cli(capsys, "rueppel", "--n", "0")
+    assert code == 1 and out == "" and "error: --n must be at least 1" in err
 
 
-@pytest.mark.parametrize("jobs", ["0", "-2"])
+@pytest.mark.parametrize("jobs", ["0", "-2", "2"])
 def test_rueppel_rejects_jobs_below_one(capsys, jobs):
+    # rueppel has no --jobs option: any value, 0, -2 or 2, is an unknown argument
     code, out, err = run_cli(capsys, "rueppel", "--n", "8", "--verify", "all", "--jobs", jobs)
-    assert code == 1 and out == "" and "at least 1" in err
-
-
-@pytest.mark.parametrize(
-    "jobs, verify, cpus, want",
-    [("1000", "all", 4, 4), ("1000", "all", 8, 5), ("3", "all", 8, 3), ("1000", "delta", 8, None)],
-)
-def test_rueppel_jobs_are_clamped(monkeypatch, capsys, jobs, verify, cpus, want):
-    import concurrent.futures
-    import os
-
-    pools = []
-
-    class InProcessPool:
-        # records the worker count and runs the checks here: no process starts
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    code, out, _ = run_cli(capsys, "rueppel", "--n", "8", "--verify", verify, "--jobs", jobs)
-    assert code == 0 and "FAIL" not in out
-    assert pools == ([] if want is None else [want])
+    assert code == 1 and out == "" and "unrecognized arguments" in err
 
 
 # -- bench ---------------------------------------------------------------------

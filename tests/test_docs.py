@@ -1,5 +1,6 @@
-"""The README quick start and the demos run against the current API."""
+"""The README quick start, its CLI options and the demos match the current API."""
 
+import argparse
 import contextlib
 import io
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import seqideal
+from seqideal.cli import make_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -28,6 +30,21 @@ def test_readme_quick_start_prints_what_its_comments_state():
     assert lines[1] == "x^5+x-1"
     assert lines[3] == "x^5+x^4z+x^2z^3+xz^4+z^5"
     assert lines[4] == "[1, 1, 2, 2, 3, 3, 4, 4]"
+
+
+def test_readme_lists_exactly_the_cli_options():
+    parser = make_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        opt
+        for command in sub.choices.values()
+        for action in command._actions
+        for opt in action.option_strings
+        if opt.startswith("--") and opt != "--help"
+    }
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    assert set(re.findall(r"--[a-z][a-z-]*", section)) == options
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
