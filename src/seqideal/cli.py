@@ -236,7 +236,7 @@ def build_report(
         f=vop.f,
         g=vop.g,
         min_poly=dehomogenize(vop.f),
-        profile=list(profile) if with_profile else None,
+        profile=profile if with_profile else None,
         plcp=is_plcp(profile),
         theta=theta,
     )
@@ -258,16 +258,12 @@ _SCALARS = {
 }
 
 
-def _scalar_text(v) -> str:
-    return _SCALARS[type(v)](v)
-
-
 def _scalars_text(values: list):
-    """The text of each of values when all are scalars, else None."""
+    """The text of each of values when all are scalars of one type, else None."""
     kinds = set(map(type, values))
-    if not kinds <= _SCALARS.keys():
+    if len(kinds) != 1 or not kinds <= _SCALARS.keys():
         return None
-    return map(_SCALARS[kinds.pop()] if len(kinds) == 1 else _scalar_text, values)
+    return map(_SCALARS[kinds.pop()], values)
 
 
 def _json_text(obj, nl: str = "\n") -> str:

@@ -267,9 +267,14 @@ def dai_ea(k: int, seq: Sequence, field: Field) -> EAResult:
     s = field.coerce_all(seq)
     if len(s) != 2 * k:
         raise FieldError(f"need exactly {2 * k} terms, got {len(s)}")
-    if field == GF2:
-        return _dai_ea_packed(k, s)
-    return _dai_ea_lists(k, s, field)
+    if field != GF2:
+        return _dai_ea_lists(k, s, field)
+    c, quotients, degrees = 1, [], []
+    for quot, c, degree in _dai_steps(k, _packed(s)):
+        quotients.append(quot)
+        degrees.append(degree)
+    polys = {q: _unpacked(q) for q in set(quotients)}  # immutable, so shared
+    return EAResult(_unpacked(c), tuple(map(polys.get, quotients)), tuple(degrees))
 
 
 def _dai_ea_lists(k: int, s: list, field: Field) -> EAResult:
@@ -288,22 +293,6 @@ def _dai_ea_lists(k: int, s: list, field: Field) -> EAResult:
         quotients.append(q)
         degrees.append(rem.degree)
     return EAResult(c_cur, tuple(quotients), tuple(degrees))
-
-
-def _dai_ea_packed(k: int, s: list) -> EAResult:
-    """:func:`_dai_cascade` with its masks made UniPolys, one per distinct quotient."""
-    c_mask, quotients, degrees = _dai_cascade(k, _packed(s))
-    polys = {q: _unpacked(q) for q in set(quotients)}  # immutable, so shared
-    return EAResult(_unpacked(c_mask), tuple(polys[q] for q in quotients), degrees)
-
-
-def _dai_cascade(k: int, r: int) -> tuple:
-    """c, the quotients and the remainder degrees of :func:`_dai_steps`."""
-    c, quotients, degrees = 1, [], []
-    for quot, c, degree in _dai_steps(k, r):
-        quotients.append(quot)
-        degrees.append(degree)
-    return c, tuple(quotients), tuple(degrees)
 
 
 def _dai_steps(k: int, r: int):

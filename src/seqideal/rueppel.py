@@ -134,21 +134,6 @@ def closed_form(l: int) -> Form:
 
 # -- matrix recurrence -----------------------------------------------------
 
-# matrix entries are packed (mask, deg) pairs; a zero form has mask 0
-# and keeps the degree the homogeneous product gives its position
-def _ent_add(a, b):
-    if a[1] != b[1]:
-        raise AssertionError("inhomogeneous matrix entry")
-    return a[0] ^ b[0], a[1]
-
-
-def _ent_x(a):
-    return a[0] << 1, a[1] + 1
-
-
-def _ent_z(a):
-    return a[0], a[1] + 1
-
 
 def matrix_recurrence(n: int) -> VOP:
     """Replay the pair for n Rueppel bits as a row vector times an
@@ -176,8 +161,8 @@ def matrix_recurrence(n: int) -> VOP:
             # right-multiply by E = diag(1, z)
             d2 += 1
     # row (x + z, z) times the product: column j gives x p1j + z (p1j + p2j)
-    f_mask, f_deg = _ent_add(_ent_x((a11, d1)), _ent_z(_ent_add((a11, d1), (a21, d1))))
-    g_mask, g_deg = _ent_add(_ent_x((a12, d2)), _ent_z(_ent_add((a12, d2), (a22, d2))))
+    f_mask, f_deg = (a11 << 1) ^ a11 ^ a21, d1 + 1
+    g_mask, g_deg = (a12 << 1) ^ a12 ^ a22, d2 + 1
     if not f_mask or not g_mask:
         raise AssertionError("matrix recurrence produced a zero generator")
     return VOP(packed_form(f_mask, f_deg), packed_form(g_mask, g_deg))

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import strategies
 
 from seqideal import GF, GF2, QQ
+from seqideal.field import pack_bits
 
 FITZ = [1, 0, 0, 0, -1, 1, 0, 0, 1, -2]
 
@@ -65,3 +66,9 @@ def value_runs(draw, elements):
     run = strategies.tuples(value, strategies.integers(1, 12))
     runs = draw(strategies.lists(run, min_size=1, max_size=16))
     return [v for v, times in runs for _ in range(times)][:64]
+
+
+def ea_masks(ea):
+    """A GF(2) EAResult as masks: (c, the quotients, the remainder degrees)."""
+    quotients = tuple(pack_bits(q.coeffs) for q in ea.quotients)
+    return pack_bits(ea.c.coeffs), quotients, ea.remainder_degrees

@@ -26,12 +26,12 @@ from seqideal.cli import (
     parse_sequence_text,
 )
 from seqideal import GF, GF2, QQ, EngineError, FieldError
-from seqideal.oracles import BMResult, _dai_cascade, _packed
+from seqideal.oracles import BMResult, dai_ea
 from seqideal.bivariate import UniPoly
 from seqideal.field import PRIME_BOUND, field_from_tag, pack_bits
 from seqideal.rueppel import ralg, rueppel_sequence
 from seqideal.vop_engine import THETA_ENUMERATE_CAP, VOP, VOPState, packed_form
-from tests.conftest import FIELD_VALUES, FITZ, value_runs
+from tests.conftest import FIELD_VALUES, FITZ, ea_masks, value_runs
 
 FITZ_TEXT = "1 0 0 0 -1\n1 0 0 1 -2\n"
 
@@ -937,7 +937,7 @@ def test_dai_check_reads_every_k_the_per_k_cascades_do(monkeypatch):
     # the one-cascade check against a per-k reference, one cascade on each
     # 2k-term prefix (the same for every n, so each runs once), with f's
     # true masks and with f broken after the 2k bits of a single k
-    cascades = {k: _dai_cascade(k, _packed(rueppel_sequence(2 * k))) for k in range(1, 301)}
+    cascades = {k: ea_masks(dai_ea(k, rueppel_sequence(2 * k), GF2)) for k in range(1, 301)}
 
     def per_k(n):
         N = n // 2

@@ -21,11 +21,10 @@ from seqideal import (
     reciprocal,
 )
 from seqideal import cli
-from seqideal.field import pack_bits, unpack_bits
+from seqideal.field import unpack_bits
 from seqideal.oracles import (
     ORACLE_LENGTH_BOUND,
     _berlekamp_massey_lists,
-    _dai_cascade,
     _dai_ea_lists,
     _dai_steps,
     _packed,
@@ -34,7 +33,7 @@ from seqideal.oracles import (
 )
 from seqideal.rueppel import ralg, rueppel_sequence
 from seqideal.vop_engine import _synthesize_fast, random_plcp_sequence
-from tests.conftest import FIELD_VALUES, FITZ, value_runs
+from tests.conftest import FIELD_VALUES, FITZ, ea_masks, value_runs
 
 
 def q(v):
@@ -299,12 +298,6 @@ def test_dai_packed_cascade_matches_lists_property(k, bits):
     assert dai_ea(k, seq, GF2) == _dai_ea_lists(k, seq, GF2)
 
 
-def _ea_masks(ea):
-    """An EAResult in the (c, quotients, degrees) masks of _dai_cascade."""
-    quotients = tuple(pack_bits(q.coeffs) for q in ea.quotients)
-    return pack_bits(ea.c.coeffs), quotients, ea.remainder_degrees
-
-
 def _packed_by_string(s):
     """The MSB-first packing as a base-2 string, s_0 the leading digit."""
     return int("".join(map(str, s)) or "0", 2)
@@ -329,8 +322,9 @@ def test_dai_cascade_on_a_shifted_rueppel_prefix_matches_lists():
     seq = rueppel_sequence(512)
     s = _packed(seq)
     for k in range(1, 257):
-        want = _ea_masks(_dai_ea_lists(k, seq[: 2 * k], GF2))
-        assert _dai_cascade(k, s >> (512 - 2 * k)) == want, k
+        quotients, cs, degrees = zip(*_dai_steps(k, s >> (512 - 2 * k)))
+        want = ea_masks(_dai_ea_lists(k, seq[: 2 * k], GF2))
+        assert (cs[-1], quotients, degrees) == want, k
 
 
 @settings(max_examples=80, deadline=None)
@@ -345,9 +339,9 @@ def test_dai_cascade_on_a_shifted_rueppel_prefix_matches_lists():
 def test_dai_cascade_shifted_prefix_matches_packed_prefix(k, surplus, bits):
     m = k + surplus
     seq = unpack_bits(bits, 2 * m)
-    got = _dai_cascade(k, _packed(seq) >> 2 * surplus)
-    assert got == _dai_cascade(k, _packed(seq[: 2 * k]))
-    assert got == _ea_masks(_dai_ea_lists(k, seq[: 2 * k], GF2))
+    prefix = seq[: 2 * k]
+    assert list(_dai_steps(k, _packed(seq) >> 2 * surplus)) == list(_dai_steps(k, _packed(prefix)))
+    assert dai_ea(k, prefix, GF2) == _dai_ea_lists(k, prefix, GF2)
 
 
 def _first_steps_are_the_short_cascades(N, r, last_degree_exact):
@@ -358,10 +352,11 @@ def _first_steps_are_the_short_cascades(N, r, last_degree_exact):
     steps = list(_dai_steps(N, r))
     assert len(steps) == N
     for k in range(1, N + 1):
-        c, quotients, degrees = _dai_cascade(k, r >> 2 * (N - k))
+        short = list(_dai_steps(k, r >> 2 * (N - k)))
         head = steps[:k]
-        assert (c, quotients) == (head[-1][1], tuple(q for q, _, _ in head)), k
-        shifted = tuple(d - 2 * (N - k) for _, _, d in head)
+        assert [step[:2] for step in short] == [step[:2] for step in head], k
+        degrees = [d for _, _, d in short]
+        shifted = [d - 2 * (N - k) for _, _, d in head]
         assert degrees[:-1] == shifted[:-1], k
         if last_degree_exact:
             assert degrees[-1] == shifted[-1], k
@@ -380,9 +375,9 @@ def test_one_cascade_yields_every_k_of_a_perfect_profile_prefix(N, seed):
     # a perfect profile makes every quotient degree 1
     seq = random_plcp_sequence(2 * N, seed)
     _first_steps_are_the_short_cascades(N, _packed(seq), False)
-    long = _dai_cascade(N, _packed(seq))
-    assert long == _ea_masks(_dai_ea_lists(N, seq, GF2))
-    assert all(q.bit_length() == 2 for q in long[1])
+    ea = dai_ea(N, seq, GF2)
+    assert ea == _dai_ea_lists(N, seq, GF2)
+    assert all(q.degree == 1 for q in ea.quotients)
 
 
 def test_dai_generalizes_to_rationals():

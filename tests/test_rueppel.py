@@ -124,14 +124,6 @@ def test_matrix_recurrence_examples():
         matrix_recurrence(0)
 
 
-def test_matrix_entries_are_homogeneous_zeros_included():
-    from seqideal.rueppel import _ent_add
-
-    assert _ent_add((0b11, 1), (0b11, 1)) == (0, 1)  # a zero form keeps its degree
-    with pytest.raises(AssertionError, match="inhomogeneous"):
-        _ent_add((0, 1), (0b100, 2))
-
-
 def test_even_index_via_powers_of_p():
     # the pair after an even number of steps is (x+z, z^2) P^(i-1) U
     f_, g_ = Form(GF2, [1, 1]), Form(GF2, [1, 0, 0])  # (x+z, z^2)
